@@ -25,7 +25,6 @@ from .geometry import (
     CurvatureSpec,
     build_M_context,
     reconstruct_derivatives,
-    split_symbol,
 )
 from .liemodel import (
     FilteredMap,
@@ -90,13 +89,6 @@ D6_COFRAME_ROWS = {
 }
 
 
-def _combo(ctx, row: dict):
-    f = ctx.zero()
-    for gname, c in row.items():
-        f = f + ctx.gen(gname).scale(Scalar.parse(c))
-    return f
-
-
 def derivative_symbol_closure() -> list:
     """Every symbol the level-2 tables or the consequence map mention."""
     syms = set(CURVATURE_SYMBOLS)
@@ -112,7 +104,7 @@ def derivative_symbol_closure() -> list:
     for sym, v in full.items():
         syms.add(sym)
         syms |= set(v.symbols())
-    for sym, v in pipeline.FINAL_CONDITION_SYMBOLS.items():
+    for sym, v in pipeline.FINAL_CONDITIONS.items():
         syms.add(sym)
         syms |= set(Scalar.parse(v).symbols())
     return sorted(syms)
@@ -280,7 +272,7 @@ def d6_model_suite() -> ExampleReport:
     ctx = build_M_context(CurvatureSpec(
         {s: lam.get(s, Scalar.zero()) for s in CURVATURE_SYMBOLS}))
     replacements = {
-        name: _combo(ctx, row) for name, row in D6_COFRAME_ROWS.items()
+        name: pipeline.row_form(ctx, row) for name, row in D6_COFRAME_ROWS.items()
     }
     reduced, _ = eliminate(ctx, replacements, label="D6")
     closure = reduced.check_context()

@@ -9,9 +9,9 @@ increasing generator index tuples to scalars.  Everything is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
-from .scalar import Scalar, solve_linear
+from .scalar import Scalar
 
 
 class ContextMismatch(Exception):
@@ -261,9 +261,7 @@ class CoframedContext:
         for names, c in terms.items():
             if isinstance(names, str):
                 names = (names,)
-            if not isinstance(c, Scalar):
-                c = Scalar.parse(c) if isinstance(c, str) else Scalar.rational(c)
-            f = Form(self, {(): c})
+            f = Form(self, {(): Scalar.of(c)})
             for n in names:
                 f = f.wedge(self.gen(n))
             out = out + f
@@ -425,6 +423,14 @@ def eliminate(
     for sym, rule in ctx.rules.d_of_symbol.items():
         new.set_symbol_rule(sym, transfer(rule))
     return new, transfer
+
+
+def reindex(form: Form, target: CoframedContext) -> Form:
+    """Rebuild a form on another context that shares its generator names."""
+    names = form.ctx.generators
+    return target.form({
+        tuple(names[i].name for i in idx): c for idx, c in form.terms.items()
+    })
 
 
 def extend(

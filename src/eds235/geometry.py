@@ -262,21 +262,19 @@ def _base_context(label="M") -> CoframedContext:
     return ctx
 
 
-def _tail_rule(ctx: CoframedContext, sym: str, vertical: Mapping[str, Scalar]) -> Form:
-    """vertical part + canonical first-derivative tail for a base symbol."""
-    coeffs = {}
-    for v, c in vertical.items():
-        coeffs[(v,)] = c
+def _symbol_row(sym: str, vertical: Mapping[str, Scalar]) -> dict:
+    """Rule row of a symbol: the vertical part plus its derivative tail."""
+    row = dict(vertical)
     for sb in SEMIBASIC:
-        coeffs[(sb,)] = Scalar.symbol(derivative_symbol(sym, SLOT_OF[sb]))
-    return ctx.form(coeffs)
+        row[sb] = Scalar.symbol(derivative_symbol(sym, SLOT_OF[sb]))
+    return row
 
 
-def _classify(ctx: CoframedContext, idx: tuple) -> tuple:
-    names = [ctx.generators[i].name for i in idx]
-    conn = [n for n in names if n in CONNECTION]
-    sb = [n for n in names if n in SEMIBASIC]
-    return tuple(conn), tuple(sb)
+def _d_squared(ctx: CoframedContext, name: str) -> Form:
+    """d² of a generator or of a function symbol of the context."""
+    if name in ctx.rules.d_of_generator:
+        return ctx.d_rule(name).d()
+    return ctx.d_scalar(Scalar.symbol(name)).d()
 
 
 # ---- elimination priority for relation pivots -----------------------------
@@ -296,134 +294,136 @@ def _pivot_key(sym: str) -> tuple:
     return (len(slots), 0 if keep else 1, CURVATURE_SYMBOLS.index(base), slots)
 
 
-def reduce_relations(relations: Sequence[Scalar]) -> tuple[list, dict]:
-    """Gaussian-reduce linear relations; returns (basis, elimination map)."""
+def reduce_relations(relations: Sequence[Scalar]) -> tuple[list, dict, list]:
+    """Gaussian-reduce relations among curvature symbols.
+
+    Relations are taken in the given order, each with the eliminations
+    found so far substituted.  The pivot of a relation is chosen among the
+    symbols whose coefficient is a nonzero constant, by the largest
+    ``_pivot_key``: the deepest derivative, then a symbol outside ``_KEEP``
+    (base symbols count as kept), then the later base in ``CURVATURE_SYMBOLS``,
+    then the later slots.  The solved value is substituted into every
+    earlier elimination.
+
+    A relation with no such pivot is set aside and retried, in order, after
+    the pass over the others; passes repeat until one eliminates nothing.
+    Returns (basis, elim, stuck): the pivot relations as they stood when
+    used, the elimination map (no value mentions an eliminated symbol), and
+    the nonzero relations left without a constant pivot, fully reduced.
+    """
     basis: list[Scalar] = []
     elim: dict[str, Scalar] = {}
-    for rel in relations:
-        r = rel.substitute(elim) if elim else rel
-        if r.is_zero():
-            continue
-        # pick the eliminable symbol with the highest priority
-        cands = []
-        for sym in sorted(r.symbols()):
-            c = r.partial(sym)
-            if c.is_constant() and not c.is_zero():
-                cands.append((_pivot_key(sym), sym, c))
-        if not cands:
-            raise Inconsistent(f"relation with no linear pivot: {r}")
-        cands.sort(reverse=True)
-        _, sym, c = cands[0]
-        rest = r.substitute({sym: Scalar.zero()})
-        value = -(rest / c)
-        # back-substitute into existing eliminations
-        elim = {k: v.substitute({sym: value}) for k, v in elim.items()}
-        elim[sym] = value
-        basis.append(r)
-    return basis, elim
+    stuck: list[Scalar] = list(relations)
+    progress = True
+    while progress:
+        progress = False
+        pending, stuck = stuck, []
+        for rel in pending:
+            r = rel.substitute(elim) if elim else rel
+            if r.is_zero():
+                continue
+            cands = []
+            for sym in sorted(r.symbols()):
+                c = r.partial(sym)
+                if c.is_constant() and not c.is_zero():
+                    cands.append((_pivot_key(sym), sym, c))
+            if not cands:
+                stuck.append(r)
+                continue
+            _, sym, c = max(cands)
+            rest = r.substitute({sym: Scalar.zero()})
+            value = -(rest / c)
+            elim = {k: v.substitute({sym: value}) for k, v in elim.items()}
+            elim[sym] = value
+            basis.append(r)
+            progress = True
+    return basis, elim, stuck
 
 
-@lru_cache(maxsize=1)
-def reconstruct_level1() -> DerivativeTable:
-    """Solve d^2 = 0 on the curved model for all first-derivative data."""
-    ctx = _base_context("M-reconstruct")
-    unknown_names = []
-    for sym in CURVATURE_SYMBOLS:
-        vertical = {}
-        for v in CONNECTION:
-            u = f"_u_{sym}_{v}"
-            unknown_names.append(u)
-            vertical[v] = Scalar.symbol(u)
-        ctx.set_symbol_rule(sym, _tail_rule(ctx, sym, vertical))
+def _extend_table(below: DerivativeTable, syms: Sequence[str],
+                  roots: Sequence[str]) -> DerivativeTable:
+    """One prolongation step: rules for ``syms`` on top of ``below``.
 
-    residuals = {g: ctx.d_rule(g).d() for g in ctx.names()}
+    Each new symbol gets a rule with unknown vertical coefficients and its
+    derivative symbols on the semibasic generators.  In d² of each root (a
+    generator or a symbol) every slot with exactly one connection generator
+    is linear in that generator's unknowns; these slots make one exactly
+    determined block per connection generator.  Slots with no connection
+    generator are relations among derivative symbols, reduced after the
+    blocks are solved; slots with several must vanish.
+    """
+    unknown = {(sym, v): f"_u_{sym}_{v}" for sym in syms for v in CONNECTION}
+    rows = {
+        sym: _symbol_row(sym, {v: Scalar.symbol(unknown[sym, v]) for v in CONNECTION})
+        for sym in syms
+    }
+    ctx = build_M_context(table=DerivativeTable(below.rules | rows), label="M-extend")
 
-    # group the slot equations by connection generator; solve each block
-    zero_u = {u: Scalar.zero() for u in unknown_names}
-    solution: dict[str, Scalar] = {}
-    relations: list[Scalar] = []
+    zero_u = {u: Scalar.zero() for u in unknown.values()}
     blocks: dict[str, list] = {v: [] for v in CONNECTION}
-    for g, res in residuals.items():
-        for idx, c in res.terms.items():
-            conn, sb = _classify(ctx, idx)
-            if len(conn) == 1 and len(sb) == 2:
+    relations: list[Scalar] = []
+    for root in roots:
+        for idx, c in _d_squared(ctx, root).terms.items():
+            names = (ctx.generators[i].name for i in idx)
+            conn = [n for n in names if n in CONNECTION]
+            if len(conn) == 1:
                 blocks[conn[0]].append(c)
-            elif len(conn) == 0:
+            elif not conn:
                 relations.append(c)
-            else:
-                # multi-vertical slots carry no unknowns and must vanish
-                if not c.substitute(zero_u).is_zero() or any(
-                    u in c.symbols() for u in unknown_names
-                ):
-                    raise Inconsistent(
-                        f"unexpected vertical-slot residual in d²({g}): {c}"
-                    )
+            elif not c.substitute(zero_u).is_zero() or c.symbols() & zero_u.keys():
+                raise Inconsistent(
+                    f"unexpected vertical-slot residual in d²({root}): {c}"
+                )
 
+    solution: dict[str, Scalar] = {}
     for v in CONNECTION:
-        eqs = blocks[v]
-        cols = [f"_u_{sym}_{v}" for sym in CURVATURE_SYMBOLS]
-        rows, rhs = [], []
-        for c in eqs:
+        cols = [unknown[sym, v] for sym in syms]
+        mat, rhs = [], []
+        for c in blocks[v]:
             row = [c.partial(u) for u in cols]
             if any(not x.is_constant() for x in row):
                 raise Inconsistent("nonlinear unknown coefficient")
-            rows.append(row)
+            mat.append(row)
             rhs.append(-c.substitute(zero_u))
-        sol = solve_linear(rows, rhs)
+        sol = solve_linear(mat, rhs)
         if sol.inconsistent or sol.particular is None:
             raise Inconsistent(f"vertical block {v} unsolvable")
         if sol.nullspace:
             raise Inconsistent(f"vertical block {v} underdetermined")
-        for u, val in zip(cols, sol.particular):
-            solution[u] = val
+        solution.update(zip(cols, sol.particular))
 
-    rel_basis, elim = reduce_relations(
-        [r.substitute(solution) for r in relations]
-    )
+    basis, elim, stuck = reduce_relations([r.substitute(solution) for r in relations])
+    if stuck:
+        raise Inconsistent(f"relation with no linear pivot: {stuck[0]}")
+    elim = below.eliminations | elim
 
-    table = DerivativeTable({}, rel_basis, elim)
-    for sym in CURVATURE_SYMBOLS:
-        row = {}
-        for v in CONNECTION:
-            val = solution[f"_u_{sym}_{v}"].substitute(elim)
-            if not val.is_zero():
-                row[v] = val
-        for sb in SEMIBASIC:
-            t = Scalar.symbol(derivative_symbol(sym, SLOT_OF[sb])).substitute(elim)
-            if not t.is_zero():
-                row[sb] = t
-        table.rules[sym] = row
-    _verify_closure(table)
+    table = DerivativeTable(dict(below.rules), below.relations + basis, elim)
+    for sym in syms:
+        row = _symbol_row(sym, {v: solution[unknown[sym, v]] for v in CONNECTION})
+        reduced = {g: c.substitute(elim) for g, c in row.items()}
+        table.rules[sym] = {g: c for g, c in reduced.items() if not c.is_zero()}
+    _verify_closure(table, list(below.rules))
     return table
 
 
-def _context_with_table(table: DerivativeTable, extra: Mapping[str, Mapping] = (),
-                        label: str = "M-ext") -> CoframedContext:
-    ctx = _base_context(label)
-    for sym, row in table.rules.items():
-        ctx.set_symbol_rule(sym, ctx.form({(g,): c for g, c in row.items()}))
-    for sym, row in dict(extra).items():
-        ctx.set_symbol_rule(sym, ctx.form({(g,): c for g, c in row.items()}))
-    return ctx
-
-
-def _verify_closure(table: DerivativeTable, symbols: Sequence[str] = ()):
-    """d² of every generator (and of the given symbols) must vanish.
+def _verify_closure(table: DerivativeTable, symbols: Sequence[str]):
+    """d² of every generator and of the given symbols must vanish.
 
     Only symbols one level below the table depth can be checked: deeper
     residuals would need derivative rules the table does not carry.
     """
-    ctx = _context_with_table(table, label="M-closure-check")
-    for g in ctx.names():
-        r = ctx.d_rule(g).d()
+    ctx = build_M_context(table=table, label="M-closure-check")
+    for name in ctx.names() + list(symbols):
+        r = _d_squared(ctx, name)
         if not r.is_zero():
             bad = {idx: str(c) for idx, c in r.terms.items()}
-            raise Inconsistent(f"d²({g}) nonzero after reconstruction: {bad}")
-    for sym in symbols:
-        r = ctx.d_scalar(Scalar.symbol(sym)).d()
-        if not r.is_zero():
-            bad = {idx: str(c) for idx, c in r.terms.items()}
-            raise Inconsistent(f"d²({sym}) nonzero after reconstruction: {bad}")
+            raise Inconsistent(f"d²({name}) nonzero after reconstruction: {bad}")
+
+
+@lru_cache(maxsize=1)
+def reconstruct_level1() -> DerivativeTable:
+    """Solve d² = 0 of the curved coframe for all first-derivative data."""
+    return _extend_table(DerivativeTable(), CURVATURE_SYMBOLS, SEMIBASIC + CONNECTION)
 
 
 def free_derivative_symbols(table: DerivativeTable) -> list:
@@ -443,80 +443,13 @@ def reconstruct_level2() -> DerivativeTable:
     """Extend the level-1 table with rules for every free first derivative.
 
     The level-1 eliminations couple the families, so all free symbols are
-    solved together: the mixed connection/semibasic slots of d² of the base
-    functions determine the vertical parts (one exactly-determined linear
-    block per connection generator), and the pure-semibasic slots yield the
-    commutation relations among the second-derivative symbols.
+    solved together from d² of the base functions: the mixed
+    connection/semibasic slots determine the vertical parts, and the
+    pure-semibasic slots yield the commutation relations among the
+    second-derivative symbols.
     """
     t1 = reconstruct_level1()
-    free = free_derivative_symbols(t1)
-    extra: dict = {}
-    vert_unknowns: list[str] = []
-    for sym in free:
-        row: dict = {}
-        for v in CONNECTION:
-            u = f"_w_{sym}_{v}"
-            vert_unknowns.append(u)
-            row[v] = Scalar.symbol(u)
-        for sb in SEMIBASIC:
-            row[sb] = Scalar.symbol(derivative_symbol(sym, SLOT_OF[sb]))
-        extra[sym] = row
-    ctx = _context_with_table(t1, extra, label="M-level2")
-
-    zero_u = {u: Scalar.zero() for u in vert_unknowns}
-    blocks: dict[str, list] = {v: [] for v in CONNECTION}
-    relations: list = []
-    for base in CURVATURE_SYMBOLS:
-        res = ctx.d_scalar(Scalar.symbol(base)).d()
-        for idx, c in res.terms.items():
-            conn, sb = _classify(ctx, idx)
-            if len(conn) == 1 and len(sb) == 1:
-                blocks[conn[0]].append(c)
-            elif len(conn) == 0:
-                relations.append(c)
-            else:
-                if not c.substitute(zero_u).is_zero() or any(
-                    u in c.symbols() for u in vert_unknowns
-                ):
-                    raise Inconsistent(
-                        f"unexpected vertical-slot residual in d²({base}): {c}"
-                    )
-
-    solution: dict[str, Scalar] = {}
-    for v in CONNECTION:
-        cols = [f"_w_{sym}_{v}" for sym in free]
-        rows, rhs = [], []
-        for c in blocks[v]:
-            row = [c.partial(u) for u in cols]
-            if any(not x.is_constant() for x in row):
-                raise Inconsistent("nonlinear unknown coefficient")
-            rows.append(row)
-            rhs.append(-c.substitute(zero_u))
-        sol = solve_linear(rows, rhs)
-        if sol.inconsistent or sol.particular is None:
-            raise Inconsistent(f"second-level vertical block {v} unsolvable")
-        if sol.nullspace:
-            raise Inconsistent(f"second-level vertical block {v} underdetermined")
-        for u, val in zip(cols, sol.particular):
-            solution[u] = val
-
-    rel_basis, elim = reduce_relations([r.substitute(solution) for r in relations])
-    elim = dict(t1.eliminations) | elim
-
-    out = DerivativeTable(dict(t1.rules), list(t1.relations) + rel_basis, elim)
-    for sym in free:
-        row = {}
-        for v in CONNECTION:
-            val = solution[f"_w_{sym}_{v}"].substitute(elim)
-            if not val.is_zero():
-                row[v] = val
-        for sb in SEMIBASIC:
-            val = Scalar.symbol(derivative_symbol(sym, SLOT_OF[sb])).substitute(elim)
-            if not val.is_zero():
-                row[sb] = val
-        out.rules[sym] = row
-    _verify_closure(out, CURVATURE_SYMBOLS)
-    return out
+    return _extend_table(t1, free_derivative_symbols(t1), CURVATURE_SYMBOLS)
 
 
 def reconstruct_derivatives(
@@ -555,10 +488,13 @@ class CurvatureSpec:
         payload = json.loads(text)
         if not isinstance(payload, dict):
             raise InconsistentSpec("spec must be a JSON object")
-        bindings = {
-            k: Scalar.parse(v) if isinstance(v, str) else Scalar.rational(v)
-            for k, v in payload.get("bindings", {}).items()
-        }
+        bindings = payload.get("bindings", {})
+        bases, slot_names = set(CURVATURE_SYMBOLS), set(SLOTS)
+        for name in bindings:
+            base, *slots = name.split("_")
+            if base not in bases or not slot_names.issuperset(slots):
+                raise InconsistentSpec(f"unknown curvature symbol {name!r} in bindings")
+        bindings = {k: Scalar.of(v) for k, v in bindings.items()}
         relations = [Scalar.parse(r) for r in payload.get("relations", [])]
         return CurvatureSpec(bindings, relations)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Mapping, Sequence
 
-from .exterior import CoframedContext, Form, eliminate
+from .exterior import CoframedContext, Form, eliminate, reindex
 from .geometry import (
     AB_KEYS,
     I_KEYS,
@@ -61,20 +61,11 @@ def pi_name(key: str, slot: str) -> str:
     return f"pi{key}_{slot}"
 
 
-H_NAMES = [h_name(k, s) for k in ROW_KEYS for s in H_COLUMNS[k]]
 PI_NAMES = [pi_name(k, s) for k in ROW_KEYS for s in H_COLUMNS[k]]
 
 
 class RankDeficient(Exception):
     pass
-
-
-def _sc(x) -> Scalar:
-    if isinstance(x, Scalar):
-        return x
-    if isinstance(x, str):
-        return Scalar.parse(x)
-    return Scalar.rational(x)
 
 
 @dataclass(frozen=True)
@@ -87,12 +78,12 @@ class JetPoint:
     def from_entries(entries: Mapping) -> "JetPoint":
         rows = []
         for k in ROW_KEYS:
-            rows.append(tuple(_sc(entries.get((k, s), 0)) for s in SLOTS))
+            rows.append(tuple(Scalar.of(entries.get((k, s), 0)) for s in SLOTS))
         return JetPoint(tuple(rows))
 
     @staticmethod
     def from_matrix(mat: Sequence) -> "JetPoint":
-        return JetPoint(tuple(tuple(_sc(x) for x in row) for row in mat))
+        return JetPoint(tuple(tuple(Scalar.of(x) for x in row) for row in mat))
 
     def entry(self, key: str, slot: str) -> Scalar:
         return self.rows[ROW_INDEX[key]][COL_INDEX[slot]]
@@ -395,14 +386,6 @@ def normalize(point: JetPoint) -> Normalization:
 # jet context
 # --------------------------------------------------------------------------
 
-def _reindex(form: Form, target: CoframedContext) -> Form:
-    terms = {}
-    for idx, c in form.terms.items():
-        names = tuple(form.ctx.generators[i].name for i in idx)
-        terms[names] = c
-    return target.form(terms)
-
-
 @dataclass
 class JetContext:
     ctx: CoframedContext
@@ -428,12 +411,6 @@ class JetContext:
                 f = f - ctx.gen(SB_OF_SLOT[s]).scale(self.h_value(k, s))
             out["Th" + k] = f
         return out
-
-    def pi_form(self, key: str, slot: str) -> Form:
-        name = pi_name(key, slot)
-        if name in self.pi_solutions:
-            return self.pi_solutions[name]
-        return self.ctx.gen(name)
 
 
 def _covariant_tail(ctx: CoframedContext, jet_bound: Mapping, key: str,
@@ -485,9 +462,9 @@ def build_jet_context(m_ctx: CoframedContext | None = None,
     ctx = CoframedContext(names, label=label)
     for src in (m_ctx, n_ctx):
         for g in src.names():
-            ctx.set_rule(g, _reindex(src.d_rule(g), ctx))
+            ctx.set_rule(g, reindex(src.d_rule(g), ctx))
         for sym, rule in src.rules.d_of_symbol.items():
-            ctx.set_symbol_rule(sym, _reindex(rule, ctx))
+            ctx.set_symbol_rule(sym, reindex(rule, ctx))
     tails = {}
     for k in ROW_KEYS:
         for s in H_COLUMNS[k]:
@@ -506,17 +483,17 @@ def bind_H(jet: JetContext, bindings: Mapping, label: str | None = None
     Each bound coordinate's differential generator becomes dependent and is
     eliminated; the solved forms are kept for later use.
     """
-    values = {k: _sc(v) for k, v in bindings.items()}
+    values = {k: Scalar.of(v) for k, v in bindings.items()}
     ctx = jet.ctx
     new_label = label or (jet.label + "+bind")
     work = CoframedContext(list(ctx.names()), label=new_label + "-pre")
     for g in ctx.names():
-        work.set_rule(g, _reindex(ctx.d_rule(g), work).substitute_scalars(values))
+        work.set_rule(g, reindex(ctx.d_rule(g), work).substitute_scalars(values))
     for sym, rule in ctx.rules.d_of_symbol.items():
         if sym in values:
             continue
         work.set_symbol_rule(
-            sym, _reindex(rule, work).substitute_scalars(values)
+            sym, reindex(rule, work).substitute_scalars(values)
         )
     bound = dict(jet.bound) | values
     replacements = {}
@@ -525,10 +502,10 @@ def bind_H(jet: JetContext, bindings: Mapping, label: str | None = None
         tail = _covariant_tail(work, bound, key, slot)
         replacements[pi_name(key, slot)] = tail.scale(Scalar.rational(-1))
     reduced, transfer = eliminate(work, replacements, label=new_label)
-    pi_solutions = {n: _reindex(f, reduced) for n, f in replacements.items()}
+    pi_solutions = {n: reindex(f, reduced) for n, f in replacements.items()}
     for name, f in jet.pi_solutions.items():
         pi_solutions[name] = transfer(
-            _reindex(f, work).substitute_scalars(values)
+            reindex(f, work).substitute_scalars(values)
         )
     return JetContext(reduced, bound, pi_solutions, new_label)
 
@@ -580,11 +557,6 @@ def tableau_forms_on_V1() -> dict:
     keep = [pi_name(k, s) for k in AB_KEYS for s in THETA_SLOTS]
     keep += [pi_name(k, s) for k in I_KEYS for s in OMEGA_SLOTS]
     return {n: jet.pi_solutions[n] for n in keep}
-
-
-def tableau_forms_on_V4() -> dict:
-    jet = stage_context("V4")
-    return dict(jet.pi_solutions)
 
 
 def contact_quotient(jet: JetContext, form: Form, kill: Sequence[str] = ()

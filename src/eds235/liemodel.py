@@ -11,9 +11,8 @@ construction time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .exterior import CoframedContext, Form
 from .scalar import Scalar, solve_linear
@@ -46,10 +45,7 @@ class NotFundamental(Exception):
 # --------------------------------------------------------------------------
 
 def mat(rows) -> Matrix:
-    out = []
-    for r in rows:
-        out.append([c if isinstance(c, Scalar) else Scalar.rational(c) for c in r])
-    return out
+    return [[Scalar.of(c) for c in r] for r in rows]
 
 
 def mat_zero(n: int, m: int | None = None) -> Matrix:
@@ -182,9 +178,7 @@ class MatrixLieAlgebra:
     def element(self, coords: Mapping[str, object]) -> Matrix:
         out = mat_zero(self.size)
         for n, c in coords.items():
-            if not isinstance(c, Scalar):
-                c = Scalar.parse(c) if isinstance(c, str) else Scalar.rational(c)
-            out = mat_add(out, mat_scale(self.basis[n], c))
+            out = mat_add(out, mat_scale(self.basis[n], Scalar.of(c)))
         return out
 
     # ---- bracket / structure constants ------------------------------------
@@ -197,7 +191,6 @@ class MatrixLieAlgebra:
         if self._sc is not None:
             return self._sc
         sc = {}
-        order = {n: i for i, n in enumerate(self.names)}
         for i, ni in enumerate(self.names):
             for nj in self.names[i + 1 :]:
                 try:
@@ -211,28 +204,7 @@ class MatrixLieAlgebra:
 
     def bracket_coords(self, x: Mapping[str, Scalar], y: Mapping[str, Scalar]) -> dict:
         """Bracket on coordinate dicts via the structure constant table."""
-        sc = self.structure_constants()
-        order = {n: i for i, n in enumerate(self.names)}
-        out: dict = {}
-        for nx, cx in x.items():
-            if cx.is_zero():
-                continue
-            for ny, cy in y.items():
-                if cy.is_zero():
-                    continue
-                if nx == ny:
-                    continue
-                key, sgn = ((nx, ny), 1) if order[nx] < order[ny] else ((ny, nx), -1)
-                for k, c in sc.get(key, {}).items():
-                    v = out.get(k, Scalar.zero()) + cx * cy * c * Scalar.rational(sgn)
-                    if v.is_zero():
-                        out.pop(k, None)
-                    else:
-                        out[k] = v
-        return out
-
-    def degrees(self) -> dict:
-        return dict(self.grading)
+        return _bracket_coords(self.names, self.structure_constants(), x, y)
 
     def negative_names(self) -> list:
         return [n for n in self.names if self.grading[n] < 0]
@@ -253,20 +225,30 @@ class GradedNilpotent:
     sc: dict  # {(ni,nj): {k: Scalar}} with ni before nj in names order
 
     def bracket_coords(self, x: Mapping[str, Scalar], y: Mapping[str, Scalar]) -> dict:
-        order = {n: i for i, n in enumerate(self.names)}
-        out: dict = {}
-        for nx, cx in x.items():
-            for ny, cy in y.items():
-                if nx == ny or cx.is_zero() or cy.is_zero():
-                    continue
-                key, sgn = ((nx, ny), 1) if order[nx] < order[ny] else ((ny, nx), -1)
-                for k, c in self.sc.get(key, {}).items():
-                    v = out.get(k, Scalar.zero()) + cx * cy * c * Scalar.rational(sgn)
-                    if v.is_zero():
-                        out.pop(k, None)
-                    else:
-                        out[k] = v
-        return out
+        return _bracket_coords(self.names, self.sc, x, y)
+
+
+def _bracket_coords(names: list, sc: Mapping, x: Mapping[str, Scalar],
+                    y: Mapping[str, Scalar]) -> dict:
+    """Bracket of coordinate dicts by a structure-constant table.
+
+    ``sc`` maps basis pairs (ni, nj), ni before nj in ``names``, to the
+    coordinates of [ni, nj].
+    """
+    order = {n: i for i, n in enumerate(names)}
+    out: dict = {}
+    for nx, cx in x.items():
+        for ny, cy in y.items():
+            if nx == ny or cx.is_zero() or cy.is_zero():
+                continue
+            key, sgn = ((nx, ny), 1) if order[nx] < order[ny] else ((ny, nx), -1)
+            for k, c in sc.get(key, {}).items():
+                v = out.get(k, Scalar.zero()) + cx * cy * c * Scalar.rational(sgn)
+                if v.is_zero():
+                    out.pop(k, None)
+                else:
+                    out[k] = v
+    return out
 
 
 def negative_part(algebra: MatrixLieAlgebra) -> GradedNilpotent:
@@ -398,8 +380,7 @@ def check_filtered_morphism(fmap: FilteredMap) -> dict:
     """Report {is_hom, bracket_failures, filtration_profile, injective}."""
     src, tgt = fmap.source, fmap.target
     images = {
-        n: {k: (v if isinstance(v, Scalar) else Scalar.parse(str(v)))
-            for k, v in img.items()}
+        n: {k: Scalar.of(v) for k, v in img.items()}
         for n, img in fmap.images.items()
     }
 
@@ -578,8 +559,7 @@ def sp6_model() -> MatrixLieAlgebra:
 
 def m_torus(t1, t2) -> Matrix:
     """Diagonal torus of the 7x7 model: diag(t1⁻²t2⁻¹, …, t1²t2)."""
-    t1 = t1 if isinstance(t1, Scalar) else Scalar.rational(t1)
-    t2 = t2 if isinstance(t2, Scalar) else Scalar.rational(t2)
+    t1, t2 = Scalar.of(t1), Scalar.of(t2)
     one = Scalar.one()
     weights = [
         (one / (t1 * t1)) / t2,

@@ -16,19 +16,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
-from .exterior import CoframedContext, Form, extend, reduce_mod
+from .exterior import CoframedContext, Form, extend, reduce_mod, reindex
 from .geometry import (
     AB_KEYS,
-    CONNECTION,
     CURVATURE_SYMBOLS,
-    I_KEYS,
     SB_OF_SLOT,
-    SEMIBASIC,
     CurvatureSpec,
     Inconsistent,
-    _pivot_key,
     build_M_context,
     reconstruct_derivatives,
     reduce_relations,
@@ -108,14 +104,6 @@ def product_context(m_ctx: CoframedContext | None = None,
     return ctx
 
 
-def _move(form: Form, target: CoframedContext) -> Form:
-    """Rebuild a form on another context that shares the generator names."""
-    terms = {}
-    for idx, c in form.terms.items():
-        terms[tuple(form.ctx.generators[i].name for i in idx)] = c
-    return target.form(terms)
-
-
 @dataclass
 class PStage:
     """A stage of the cascade: the context plus bound prolongation values."""
@@ -128,9 +116,6 @@ class PStage:
         if name in self.p_values:
             return self.p_values[name]
         return Scalar.symbol(name)
-
-    def dp(self, name: str) -> Form:
-        return self.ctx.d_scalar(self.p(name))
 
     def free(self) -> list:
         return [p for p in P_SYMBOLS if p not in self.p_values]
@@ -170,9 +155,6 @@ class IdealGenerators:
 
     def all(self) -> list:
         return list(self.forms.values())
-
-    def names(self) -> list:
-        return list(self.forms)
 
     def check_independent(self) -> int:
         mat = [_coeff_row(f) for f in self.forms.values()]
@@ -362,7 +344,7 @@ def theta_system(stage: PStage) -> dict:
     v4 = stage_context("V4")
     out = {}
     for (k, s), entries in THETA_TAILS.items():
-        pi = _move(v4.pi_solutions[pi_name(k, s)], stage.ctx)
+        pi = reindex(v4.pi_solutions[pi_name(k, s)], stage.ctx)
         out[f"Th{k}_{s}"] = pi + _entries_form(stage, entries)
     return out
 
@@ -419,9 +401,6 @@ class ReductionResult:
     steps: list
     p_values: dict
     stage: PStage
-
-    def coframe_reductions(self) -> list:
-        return [(s.name, s.coframe) for s in self.steps if s.coframe]
 
 
 @lru_cache(maxsize=1)
@@ -656,23 +635,23 @@ REDUCTION_ROWS = {
     },
 }
 
-# The same rows after substituting the derivable identities
-# A3_0 = 6*C2 and B3_1p = -3*C3.
-THEOREM_ROWS = {
-    "ga12": {},
-    "ga02": {"th1": "1/14*A3"},
-    "ga": {"th1": "-4/7*B3", "om0": "-5/7*A3"},
-    "gam2": {"th1": "-17/7*C2", "om1p": "17/14*A3"},
-    "gam1": {
-        "th1": "-5/7*C3", "th2": "C2",
-        "om0": "-22/7*B3", "om1p": "9/7*A4", "om2p": "37/14*A3",
-    },
-}
-
-REDUCED_CONNECTION = list(REDUCTION_ROWS)
+# The two derivative identities among the reduction consequences.
+IDENTITIES = {"A3_0": "6*C2", "B3_1p": "-3*C3"}
 
 
-def _row_form(ctx: CoframedContext, row: Mapping[str, str]) -> Form:
+def _map_rows(rows: Mapping[str, Mapping[str, str]], fn) -> dict:
+    """Apply fn to every entry of a table of rows written as scalar text."""
+    return {g: {k: str(fn(Scalar.parse(v))) for k, v in row.items()}
+            for g, row in rows.items()}
+
+
+# The same rows after substituting the identities.
+THEOREM_ROWS = _map_rows(REDUCTION_ROWS, lambda s: s.substitute(
+    {k: Scalar.parse(v) for k, v in IDENTITIES.items()}))
+
+
+def row_form(ctx: CoframedContext, row: Mapping[str, str]) -> Form:
+    """The 1-form with the given coefficient text on each named generator."""
     return ctx.form({(g,): Scalar.parse(v) for g, v in row.items()})
 
 
@@ -690,11 +669,11 @@ def reduction_context(rows: Mapping[str, Mapping[str, str]] | None = None
 
     rows = rows or REDUCTION_ROWS
     m = _m2_context()
-    repl = {g: _row_form(m, r) for g, r in rows.items()}
+    repl = {g: row_form(m, r) for g, r in rows.items()}
     ctx, transfer = eliminate(m, repl, label="R")
     residuals = {}
     for g, r in rows.items():
-        residuals[g] = transfer(m.d_rule(g)) - _row_form(ctx, r).d()
+        residuals[g] = transfer(m.d_rule(g)) - row_form(ctx, r).d()
     return ctx, residuals
 
 
@@ -714,43 +693,6 @@ def _relation_scan(ctx: CoframedContext, residuals: Mapping[str, Form]) -> list:
     for sym in CURVATURE_SYMBOLS:
         collect(ctx.d_scalar(Scalar.symbol(sym)).d())
     return rels
-
-
-def _reduce_tolerant(relations: Sequence[Scalar]) -> tuple[list, dict, list]:
-    """Gaussian reduction that stashes relations with no linear pivot.
-
-    Same pivot policy as the derivative-table solver; relations that stay
-    nonlinear after every elimination is applied are returned separately
-    instead of aborting the reduction.
-    """
-    basis: list = []
-    elim: dict = {}
-    stuck: list = list(relations)
-    progress = True
-    while progress:
-        progress = False
-        pending, stuck = stuck, []
-        for rel in pending:
-            r = rel.substitute(elim) if elim else rel
-            if r.is_zero():
-                continue
-            cands = []
-            for sym in sorted(r.symbols()):
-                c = r.partial(sym)
-                if c.is_constant() and not c.is_zero():
-                    cands.append((_pivot_key(sym), sym, c))
-            if not cands:
-                stuck.append(r)
-                continue
-            cands.sort(reverse=True)
-            _, sym, c = cands[0]
-            rest = r.substitute({sym: Scalar.zero()})
-            value = -(rest / c)
-            elim = {k: v.substitute({sym: value}) for k, v in elim.items()}
-            elim[sym] = value
-            basis.append(r)
-            progress = True
-    return basis, elim, stuck
 
 
 def _derivative_order(rel: Scalar) -> int:
@@ -777,7 +719,7 @@ def reduction_consequences() -> tuple[dict, dict, list]:
     elim_full: dict = {}
     stuck: list = []
     for _ in range(8):
-        _, elim, stuck = _reduce_tolerant(work)
+        _, elim, stuck = reduce_relations(work)
         if elim == elim_full:
             break
         elim_full = elim
@@ -808,13 +750,11 @@ def restricted_class_spec() -> CurvatureSpec:
 # the final ideal
 # --------------------------------------------------------------------------
 
-# Tails added to the remaining connection generators at the final stage.
+# Tails added to the remaining connection generators at the final stage:
+# the two reduction rows of gam2 and gam1, negated, then the three et_ rows.
 SECOND_STAGE_TAILS = {
-    "gam2": {"th1": "2*C2+1/14*A3_0", "om1p": "-17/14*A3"},
-    "gam1": {
-        "th1": "-C3-4/7*B3_1p", "th2": "-C2",
-        "om0": "22/7*B3", "om1p": "-9/7*A4", "om2p": "-37/14*A3",
-    },
+    **_map_rows({g: REDUCTION_ROWS[g] for g in ("gam2", "gam1")},
+                Scalar.__neg__),
     "et_11": {"th1": "6/7*A3_0", "om1p": "-18/7*A3"},
     "et_12": {
         "th1": "-6/7*B3_1p", "om0": "54/7*B3",
@@ -1049,7 +989,8 @@ def stage1_obstructions(spec: CurvatureSpec | None = None) -> list:
     return _residual_entries("ga12_t^om0+ga02_t^th1", res)
 
 
-FINAL_CONDITION_SYMBOLS = {"A4_1p": "-5*B4", "A5_0_1p": "21*A5_1"}
+# The two scalar conditions on curvature derivatives, as symbol = value.
+FINAL_CONDITIONS = {"A4_1p": "-5*B4", "A5_0_1p": "21*A5_1"}
 
 
 def partition_final_residuals(entries: list) -> dict:
@@ -1060,7 +1001,7 @@ def partition_final_residuals(entries: list) -> dict:
     is substituted (``resolved_by_A41p``) or involves derivative symbols
     whose relations are not visible at second order (``unresolved``).
     """
-    cond1 = {"A4_1p": Scalar.parse("-5*B4")}
+    cond1 = {"A4_1p": Scalar.parse(FINAL_CONDITIONS["A4_1p"])}
     out = {"conditions": [], "resolved_by_A41p": [], "unresolved": []}
     for e in entries:
         if e["monomial"] == "th1^om1p":
@@ -1097,10 +1038,8 @@ def extract_obstructions(spec: CurvatureSpec | None = None) -> ObstructionReport
     imposed.
     """
     first, full, _ = reduction_consequences()
-    identities = {
-        s: full[s] for s in ("A3_0", "B3_1p") if s in full
-    }
-    for s, expect in (("A3_0", "6*C2"), ("B3_1p", "-3*C3")):
+    identities = {s: full[s] for s in IDENTITIES if s in full}
+    for s, expect in IDENTITIES.items():
         got = identities.get(s)
         if got is None or got != Scalar.parse(expect):
             raise Inconsistent(f"expected identity {s} = {expect}, got {got}")
@@ -1157,7 +1096,7 @@ def embeddability_verdict(spec: CurvatureSpec) -> EmbeddabilityVerdict:
     b = _saturate(spec.bindings)
     first, full, _ = reduction_consequences()
     checks = dict(first)
-    checks.update({s: full[s] for s in ("A3_0", "B3_1p") if s in full})
+    checks.update({s: full[s] for s in IDENTITIES if s in full})
     failing = []
     reduction_ok = True
     for sym, value in sorted(checks.items()):
@@ -1165,12 +1104,13 @@ def embeddability_verdict(spec: CurvatureSpec) -> EmbeddabilityVerdict:
         if not residual.is_zero():
             reduction_ok = False
             failing.append(f"{sym} = {value}")
-    cond1 = (Scalar.symbol("A4_1p") + Scalar.parse("5*B4")).substitute(b)
-    cond2 = (Scalar.symbol("A5_0_1p") - Scalar.parse("21*A5_1")).substitute(b)
-    if not cond1.is_zero():
-        failing.append("A4_1p = -5*B4")
-    if not cond2.is_zero():
-        failing.append("A5_0_1p = 21*A5_1")
+    cond1, cond2 = conditions = [
+        (Scalar.symbol(s) - Scalar.parse(v)).substitute(b)
+        for s, v in FINAL_CONDITIONS.items()
+    ]
+    for (s, v), cond in zip(FINAL_CONDITIONS.items(), conditions):
+        if not cond.is_zero():
+            failing.append(f"{s} = {v}")
     # Frobenius: every residual coefficient of the generic final ideal is a
     # function of the curvature symbols; the ideal restricted to the locus
     # the spec describes is integrable exactly when they all vanish there.

@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-Rational = Fraction
-
 
 class DivisionByZero(ZeroDivisionError):
     """Raised on exact division by a scalar that is identically zero."""
@@ -336,6 +334,15 @@ class Scalar:
     def parse(text: str) -> "Scalar":
         return _parse_scalar(text)
 
+    @staticmethod
+    def of(x) -> "Scalar":
+        """Coerce a Scalar, scalar text or a rational number to a Scalar."""
+        if isinstance(x, Scalar):
+            return x
+        if isinstance(x, str):
+            return Scalar.parse(x)
+        return Scalar.rational(x)
+
     # ---- predicates ----------------------------------------------------
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -347,15 +354,6 @@ class Scalar:
         if not self.is_constant():
             raise ValueError(f"not a constant: {self}")
         return self.num.constant_value() / self.den.constant_value()
-
-    def is_rational(self) -> bool:
-        return self.is_constant() and self.constant_value().b == 0
-
-    def rational_value(self) -> Fraction:
-        v = self.constant_value()
-        if v.b != 0:
-            raise ValueError(f"not rational: {self}")
-        return v.a
 
     def symbols(self) -> set:
         return self.num.symbols() | self.den.symbols()

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import permutations
 
 from .geometry import AB_KEYS, I_KEYS, SLOTS
-from .scalar import Scalar, rank_of, solve_linear
+from .scalar import Scalar, mat_mul_vec, rank_of, solve_linear
 
 W_KEYS = AB_KEYS + I_KEYS
 SYM_PAIRS = [
@@ -26,16 +26,8 @@ class DimensionMismatch(Exception):
     pass
 
 
-def _sc(x) -> Scalar:
-    if isinstance(x, Scalar):
-        return x
-    if isinstance(x, str):
-        return Scalar.parse(x)
-    return Scalar.rational(x)
-
-
 def _flatten_matrix(mat) -> list:
-    return [_sc(x) for row in mat for x in row]
+    return [Scalar.of(x) for row in mat for x in row]
 
 
 class LinearTableau:
@@ -44,7 +36,7 @@ class LinearTableau:
     def __init__(self, basis):
         mats = []
         for mat in basis:
-            rows = [[_sc(x) for x in row] for row in mat]
+            rows = [[Scalar.of(x) for x in row] for row in mat]
             if len(rows) != len(W_KEYS) or any(
                 len(r) != len(SLOTS) for r in rows
             ):
@@ -79,17 +71,10 @@ class LinearTableau:
         return LinearTableau(chosen)
 
 
-def _apply(mat, vec) -> list:
-    return [
-        sum((row[j] * vec[j] for j in range(len(vec))), Scalar.zero())
-        for row in mat
-    ]
-
-
 def _flag_rank_sums(tableau: LinearTableau, flag) -> list:
     """Rank of evaluation on the first k flag vectors, for k = 1..5."""
     rows = [
-        [x for v in flag for x in _apply(mat, v)] for mat in tableau.basis
+        [x for v in flag for x in mat_mul_vec(mat, v)] for mat in tableau.basis
     ]
     width = len(W_KEYS)
     return [
@@ -166,7 +151,7 @@ class SymTensor:
         for (w, si, sj), c in entries.items():
             i, j = sorted((SLOTS.index(si), SLOTS.index(sj)))
             key = (w, SLOTS[i], SLOTS[j])
-            canon[key] = canon.get(key, Scalar.zero()) + _sc(c)
+            canon[key] = canon.get(key, Scalar.zero()) + Scalar.of(c)
         items = tuple(
             (k, v) for k, v in sorted(canon.items()) if not v.is_zero()
         )
@@ -287,7 +272,7 @@ def _coords(element) -> list:
         return element.flat()
     if element and isinstance(element[0], (list, tuple)):
         return _flatten_matrix(element)
-    return [_sc(x) for x in element]
+    return [Scalar.of(x) for x in element]
 
 
 def compare_span(family1, family2) -> bool:

@@ -14,12 +14,14 @@ from eds235.geometry import (
     build_N_context,
     curvature_forms,
     reconstruct_derivatives,
+    reduce_relations,
     torsion_coefficient,
 )
 from eds235.scalar import Scalar
 
 S = Scalar.parse
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+SPECS = os.path.join(os.path.dirname(os.path.dirname(__file__)), "specs")
 
 
 def combo(ctx, *terms):
@@ -275,6 +277,39 @@ class TestCurvatureSpec:
             '{"bindings": {"E": "9/14"}, "relations": ["E - 9/14*A3^2"]}'
         )
         spec.validate()
+
+    @pytest.mark.parametrize("name", ["A33", "A3_9", "p11_12", "A3_"])
+    def test_misspelled_binding_rejected(self, name):
+        with pytest.raises(InconsistentSpec, match=name):
+            CurvatureSpec.from_json('{"bindings": {"%s": 1}}' % name)
+
+    def test_pinned_spec_names_accepted(self):
+        for name in ("flat", "d6"):
+            with open(os.path.join(SPECS, name + ".json")) as fh:
+                spec = CurvatureSpec.from_json(fh.read())
+            assert "A5_0_1p" in spec.bindings
+
+
+# --- relation reduction ------------------------------------------------------
+
+class TestReduceRelations:
+    def test_second_pass_resolves_a_set_aside_relation(self):
+        basis, elim, stuck = reduce_relations([S("A1*B1 - C1*C2"), S("B1 - 2")])
+        assert elim == {"B1": S("2"), "A1": S("1/2*C1*C2")}
+        assert basis == [S("B1 - 2"), S("2*A1 - C1*C2")]
+        assert stuck == []
+
+    def test_nonlinear_relation_is_stuck(self):
+        basis, elim, stuck = reduce_relations([S("A1*B1"), S("C1 - C2")])
+        assert stuck == [S("A1*B1")]
+        assert basis == [S("C1 - C2")]
+        # same depth, both kept: the one later in CURVATURE_SYMBOLS goes
+        assert elim == {"C2": S("C1")}
+
+    def test_pivot_prefers_deeper_unkept_symbols(self):
+        # A4_0 is a first derivative outside the kept set; A3_0 is kept
+        _, elim, _ = reduce_relations([S("A3_0 + A4_0 - C3")])
+        assert elim == {"A4_0": S("C3 - A3_0")}
 
 
 # --- the rank-one reduced homogeneous example -------------------------------
