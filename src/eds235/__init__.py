@@ -2,7 +2,7 @@
 
 Layered modules:
 
-- scalar    exact field: Q(sqrt 7) rational functions in named symbols
+- scalar    exact polynomial ring over Q(sqrt 7), constant divisors only
 - exterior  forms, wedge, d, ideal reduction over a coframed context
 - liemodel  matrix Lie algebras, gradings, nilpotent exponentials
 - geometry  the two homogeneous models and curvature derivative tables

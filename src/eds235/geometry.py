@@ -488,13 +488,16 @@ class CurvatureSpec:
         payload = json.loads(text)
         if not isinstance(payload, dict):
             raise InconsistentSpec("spec must be a JSON object")
-        bindings = payload.get("bindings", {})
         bases, slot_names = set(CURVATURE_SYMBOLS), set(SLOTS)
-        for name in bindings:
+        bindings = {}
+        for name, value in payload.get("bindings", {}).items():
             base, *slots = name.split("_")
             if base not in bases or not slot_names.issuperset(slots):
                 raise InconsistentSpec(f"unknown curvature symbol {name!r} in bindings")
-        bindings = {k: Scalar.of(v) for k, v in bindings.items()}
+            try:
+                bindings[name] = Scalar.of(value)
+            except (ValueError, TypeError, ZeroDivisionError) as exc:
+                raise InconsistentSpec(f"bad value for binding {name!r}: {exc}") from exc
         relations = [Scalar.parse(r) for r in payload.get("relations", [])]
         return CurvatureSpec(bindings, relations)
 

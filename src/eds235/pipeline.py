@@ -990,7 +990,7 @@ def stage1_obstructions(spec: CurvatureSpec | None = None) -> list:
 
 
 # The two scalar conditions on curvature derivatives, as symbol = value.
-FINAL_CONDITIONS = {"A4_1p": "-5*B4", "A5_0_1p": "21*A5_1"}
+FINAL_CONDITIONS = {"A4_1p": "-5*B4", "A5_0_1p": "-21*A5_1"}
 
 
 def partition_final_residuals(entries: list) -> dict:

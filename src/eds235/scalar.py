@@ -1,13 +1,15 @@
 """Exact scalar arithmetic for the engine.
 
-Everything downstream computes over a single field: rational functions in
-named symbols with coefficients in Q(sqrt 7).  The tower is
+Everything downstream computes in one ring: polynomials in named symbols
+with coefficients in Q(sqrt 7).  The tower is
 
-    Fraction  ->  QuadExt (a + b*sqrt7)  ->  Poly (sparse multivariate)
-              ->  Scalar (fraction field of Poly)
+    Fraction  ->  QuadExt (a + b*sqrt7)  ->  Scalar (sparse multivariate)
 
-No floats anywhere; equality is decidable (cross-multiplication) and every
-canonical form is deterministic.
+Division is defined only by nonzero constants, so every pivot of a
+reduction is a constant and putting values into a generic result is sound;
+a non-constant divisor raises ``NonConstantDivision``.  No floats anywhere;
+equality is equality of term dicts and every canonical form is
+deterministic.
 """
 
 from __future__ import annotations
@@ -19,6 +21,10 @@ from typing import Iterable, Mapping, Sequence
 
 class DivisionByZero(ZeroDivisionError):
     """Raised on exact division by a scalar that is identically zero."""
+
+
+class NonConstantDivision(ValueError):
+    """Raised on division by a scalar that is not a constant."""
 
 
 def _frac(x) -> Fraction:
@@ -55,13 +61,10 @@ class QuadExt:
         return QuadExt(self.a * o.a + 7 * self.b * o.b, self.a * o.b + self.b * o.a)
 
     def inverse(self) -> "QuadExt":
+        if self.is_zero():
+            raise DivisionByZero("inverse of zero in Q(sqrt 7)")
+        # a^2 = 7 b^2 has no rational solution but a = b = 0: the norm is nonzero
         n = self.a * self.a - 7 * self.b * self.b
-        if n == 0:
-            if self.a == 0 and self.b == 0:
-                raise DivisionByZero("inverse of zero in Q(sqrt 7)")
-            # a^2 = 7 b^2 with a, b rational forces a = b = 0, so n == 0
-            # only at zero; keep the guard for clarity.
-            raise DivisionByZero("norm vanished unexpectedly")
         return QuadExt(self.a / n, -self.b / n)
 
     def __truediv__(self, o: "QuadExt") -> "QuadExt":
@@ -114,35 +117,71 @@ def _mono_key(m: Monomial):
     return (_mono_degree(m), m)
 
 
-def _mono_divides(m1: Monomial, m2: Monomial) -> bool:
-    d2 = dict(m2)
-    return all(d2.get(name, 0) >= e for name, e in m1)
+def _add_term(t: dict, m: Monomial, c: QuadExt) -> None:
+    """t[m] += c for a nonzero c, dropping the term if it cancels."""
+    s = t.get(m)
+    if s is not None:
+        c = s + c
+        if c.is_zero():
+            del t[m]
+            return
+    t[m] = c
 
 
-def _mono_div(m1: Monomial, m2: Monomial) -> Monomial:
-    """m1 / m2, assuming divisibility."""
-    d = dict(m1)
-    for name, e in m2:
-        d[name] -= e
-    return tuple(sorted((n, e) for n, e in d.items() if e))
+class Scalar:
+    """Polynomial in named symbols with coefficients in Q(sqrt 7).
 
-
-class Poly:
-    """Sparse multivariate polynomial over Q(sqrt 7)."""
+    ``terms`` maps each monomial to its coefficient and holds nonzero
+    coefficients only, so equal polynomials have equal term dicts and equal
+    hashes.  Division is defined only by nonzero constants: ``inverse`` is
+    the one place that divides, and it raises ``NonConstantDivision`` on a
+    non-constant.
+    """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[Monomial, QuadExt]):
-        self.terms = {m: c for m, c in terms.items() if not c.is_zero()}
+    def __init__(self, terms: dict):
+        self.terms = terms
+
+    # ---- constructors -------------------------------------------------
+    @staticmethod
+    def zero() -> "Scalar":
+        return Scalar({})
 
     @staticmethod
-    def constant(c: QuadExt) -> "Poly":
-        return Poly({_EMPTY: c})
+    def one() -> "Scalar":
+        return Scalar({_EMPTY: QUAD_ONE})
 
     @staticmethod
-    def symbol(name: str) -> "Poly":
-        return Poly({((name, 1),): QUAD_ONE})
+    def from_quad(c: QuadExt) -> "Scalar":
+        return Scalar({} if c.is_zero() else {_EMPTY: c})
 
+    @staticmethod
+    def rational(p, q=1) -> "Scalar":
+        return Scalar.from_quad(QuadExt.of(Fraction(_frac(p), _frac(q))))
+
+    @staticmethod
+    def sqrt7() -> "Scalar":
+        return Scalar.from_quad(SQRT7)
+
+    @staticmethod
+    def symbol(name: str) -> "Scalar":
+        return Scalar({((name, 1),): QUAD_ONE})
+
+    @staticmethod
+    def parse(text: str) -> "Scalar":
+        return _parse_scalar(text)
+
+    @staticmethod
+    def of(x) -> "Scalar":
+        """Coerce a Scalar, scalar text or a rational number to a Scalar."""
+        if isinstance(x, Scalar):
+            return x
+        if isinstance(x, str):
+            return Scalar.parse(x)
+        return Scalar.rational(x)
+
+    # ---- predicates ----------------------------------------------------
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -150,93 +189,81 @@ class Poly:
         return not self.terms or (len(self.terms) == 1 and _EMPTY in self.terms)
 
     def constant_value(self) -> QuadExt:
-        if self.is_zero():
-            return QUAD_ZERO
-        return self.terms[_EMPTY]
+        if not self.is_constant():
+            raise ValueError(f"not a constant: {self}")
+        return self.terms.get(_EMPTY, QUAD_ZERO)
 
-    def degree(self) -> int:
-        return max((_mono_degree(m) for m in self.terms), default=0)
+    def symbols(self) -> set:
+        return {name for m in self.terms for name, _ in m}
 
-    def __add__(self, o: "Poly") -> "Poly":
+    # ---- arithmetic ----------------------------------------------------
+    def __add__(self, o: "Scalar") -> "Scalar":
+        if not self.terms:
+            return o
+        if not o.terms:
+            return self
         t = dict(self.terms)
         for m, c in o.terms.items():
-            s = t.get(m, QUAD_ZERO) + c
-            if s.is_zero():
-                t.pop(m, None)
-            else:
-                t[m] = s
-        return Poly(t)
+            _add_term(t, m, c)
+        return Scalar(t)
 
-    def __neg__(self) -> "Poly":
-        return Poly({m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, o: "Poly") -> "Poly":
+    def __sub__(self, o: "Scalar") -> "Scalar":
         return self + (-o)
 
-    def __mul__(self, o: "Poly") -> "Poly":
-        if self.is_zero() or o.is_zero():
-            return Poly({})
+    def __neg__(self) -> "Scalar":
+        return Scalar({m: -c for m, c in self.terms.items()})
+
+    def __mul__(self, o: "Scalar") -> "Scalar":
         t: dict = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in o.terms.items():
-                m = _mono_mul(m1, m2)
-                s = t.get(m, QUAD_ZERO) + c1 * c2
-                if s.is_zero():
-                    t.pop(m, None)
-                else:
-                    t[m] = s
-        return Poly(t)
+                _add_term(t, _mono_mul(m1, m2), c1 * c2)
+        return Scalar(t)
 
-    def scale(self, c: QuadExt) -> "Poly":
-        if c.is_zero():
-            return Poly({})
-        return Poly({m: k * c for m, k in self.terms.items()})
+    def __truediv__(self, o: "Scalar") -> "Scalar":
+        return self * o.inverse()
 
-    def leading(self) -> tuple[Monomial, QuadExt]:
-        m = max(self.terms, key=_mono_key)
-        return m, self.terms[m]
+    def inverse(self) -> "Scalar":
+        """1/self; DivisionByZero on zero, NonConstantDivision on a non-constant."""
+        if not self.terms:
+            raise DivisionByZero("scalar division by zero")
+        if not self.is_constant():
+            raise NonConstantDivision(f"division by the non-constant {self}")
+        return Scalar({_EMPTY: self.terms[_EMPTY].inverse()})
 
-    def monomial_gcd(self) -> Monomial:
-        """Largest monomial dividing every term."""
-        it = iter(self.terms)
-        try:
-            common = dict(next(it))
-        except StopIteration:
-            return _EMPTY
-        for m in it:
-            if not common:
-                break
-            d = dict(m)
-            common = {n: min(e, d[n]) for n, e in common.items() if n in d}
-        return tuple(sorted(common.items()))
-
-    def div_monomial(self, m: Monomial) -> "Poly":
-        return Poly({_mono_div(k, m): c for k, c in self.terms.items()})
-
-    def try_div(self, d: "Poly") -> "Poly | None":
-        """Exact polynomial division; None if not divisible."""
-        if d.is_zero():
-            raise DivisionByZero("polynomial division by zero")
-        rem = self
-        dm, dc = d.leading()
-        out: dict = {}
-        while not rem.is_zero():
-            rm, rc = rem.leading()
-            if not _mono_divides(dm, rm):
-                return None
-            qm = _mono_div(rm, dm)
-            qc = rc / dc
-            out[qm] = out.get(qm, QUAD_ZERO) + qc
-            rem = rem - d * Poly({qm: qc})
-        return Poly(out)
-
-    def symbols(self) -> set:
-        out: set = set()
-        for m in self.terms:
-            out.update(name for name, _ in m)
+    def __pow__(self, n: int) -> "Scalar":
+        if n < 0:
+            return self.inverse() ** (-n)
+        out = Scalar.one()
+        for _ in range(n):
+            out = out * self
         return out
 
-    def eval(self, bindings: Mapping[str, "Scalar"]) -> "Scalar":
+    def __eq__(self, o) -> bool:
+        if not isinstance(o, Scalar):
+            return NotImplemented
+        return self.terms == o.terms
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+    # ---- calculus / substitution ----------------------------------------
+    def partial(self, name: str) -> "Scalar":
+        """Formal partial derivative with respect to a symbol."""
+        out: dict = {}
+        for m, c in self.terms.items():
+            for i, (n, e) in enumerate(m):
+                if n == name:
+                    rest = ((n, e - 1),) if e > 1 else ()
+                    # lowering one exponent maps distinct monomials apart
+                    out[m[:i] + rest + m[i + 1:]] = c * QuadExt.of(e)
+                    break
+        return Scalar(out)
+
+    def substitute(self, bindings: Mapping[str, "Scalar"]) -> "Scalar":
+        """Replace the bound symbols by their values; others stay symbolic."""
+        if not any(name in bindings for m in self.terms for name, _ in m):
+            return self
         total = Scalar.zero()
         for m, c in self.terms.items():
             term = Scalar.from_quad(c)
@@ -249,20 +276,12 @@ class Poly:
             total = total + term
         return total
 
-    def __eq__(self, o) -> bool:
-        return isinstance(o, Poly) and self.terms == o.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: _mono_key(kv[0]), reverse=True)
-
     def __str__(self) -> str:
-        if self.is_zero():
+        if not self.terms:
             return "0"
         parts = []
-        for m, c in self.sorted_terms():
+        for m, c in sorted(self.terms.items(), key=lambda kv: _mono_key(kv[0]),
+                           reverse=True):
             mono = "*".join(n if e == 1 else f"{n}^{e}" for n, e in m)
             cs = str(c)
             if "+" in cs or ("-" in cs[1:]):
@@ -281,220 +300,8 @@ class Poly:
             out += p if p.startswith("-") else "+" + p
         return out
 
-
-POLY_ZERO = Poly({})
-POLY_ONE = Poly.constant(QUAD_ONE)
-
-
-class Scalar:
-    """Element of the fraction field of Poly.
-
-    Canonical form: common monomial factors cancelled, exact polynomial
-    quotients taken when they exist, denominator scaled to leading
-    coefficient 1.  Equality falls back to cross-multiplication, so light
-    reduction never compromises correctness.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: Poly, den: Poly = POLY_ONE, _reduce: bool = True):
-        if den.is_zero():
-            raise DivisionByZero("scalar with zero denominator")
-        if _reduce:
-            num, den = _reduce_pair(num, den)
-        self.num = num
-        self.den = den
-
-    # ---- constructors -------------------------------------------------
-    @staticmethod
-    def zero() -> "Scalar":
-        return Scalar(POLY_ZERO, POLY_ONE, _reduce=False)
-
-    @staticmethod
-    def one() -> "Scalar":
-        return Scalar(POLY_ONE, POLY_ONE, _reduce=False)
-
-    @staticmethod
-    def from_quad(c: QuadExt) -> "Scalar":
-        return Scalar(Poly.constant(c), POLY_ONE, _reduce=False)
-
-    @staticmethod
-    def rational(p, q=1) -> "Scalar":
-        return Scalar.from_quad(QuadExt.of(Fraction(_frac(p), _frac(q))))
-
-    @staticmethod
-    def sqrt7() -> "Scalar":
-        return Scalar.from_quad(SQRT7)
-
-    @staticmethod
-    def symbol(name: str) -> "Scalar":
-        return Scalar(Poly.symbol(name), POLY_ONE, _reduce=False)
-
-    @staticmethod
-    def parse(text: str) -> "Scalar":
-        return _parse_scalar(text)
-
-    @staticmethod
-    def of(x) -> "Scalar":
-        """Coerce a Scalar, scalar text or a rational number to a Scalar."""
-        if isinstance(x, Scalar):
-            return x
-        if isinstance(x, str):
-            return Scalar.parse(x)
-        return Scalar.rational(x)
-
-    # ---- predicates ----------------------------------------------------
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def is_constant(self) -> bool:
-        return self.num.is_constant() and self.den.is_constant()
-
-    def constant_value(self) -> QuadExt:
-        if not self.is_constant():
-            raise ValueError(f"not a constant: {self}")
-        return self.num.constant_value() / self.den.constant_value()
-
-    def symbols(self) -> set:
-        return self.num.symbols() | self.den.symbols()
-
-    # ---- arithmetic ----------------------------------------------------
-    def __add__(self, o: "Scalar") -> "Scalar":
-        if self.is_zero():
-            return o
-        if o.is_zero():
-            return self
-        if self.den == o.den:
-            return Scalar(self.num + o.num, self.den)
-        return Scalar(self.num * o.den + o.num * self.den, self.den * o.den)
-
-    def __sub__(self, o: "Scalar") -> "Scalar":
-        return self + (-o)
-
-    def __neg__(self) -> "Scalar":
-        return Scalar(-self.num, self.den, _reduce=False)
-
-    def __mul__(self, o: "Scalar") -> "Scalar":
-        if self.is_zero() or o.is_zero():
-            return Scalar.zero()
-        return Scalar(self.num * o.num, self.den * o.den)
-
-    def __truediv__(self, o: "Scalar") -> "Scalar":
-        if o.is_zero():
-            raise DivisionByZero("scalar division by zero")
-        if self.is_zero():
-            return Scalar.zero()
-        return Scalar(self.num * o.den, self.den * o.num)
-
-    def inverse(self) -> "Scalar":
-        return Scalar.one() / self
-
-    def __pow__(self, n: int) -> "Scalar":
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = Scalar.one()
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def __eq__(self, o) -> bool:
-        if not isinstance(o, Scalar):
-            return NotImplemented
-        if self.num == o.num and self.den == o.den:
-            return True
-        return (self.num * o.den - o.num * self.den).is_zero()
-
-    def __hash__(self):
-        # classes of equal scalars can hash differently only if reduction
-        # failed to fully cancel; canonical-enough for our dict uses, and we
-        # never rely on hashing non-identical-but-equal scalars together.
-        return hash((self.num, self.den))
-
-    # ---- calculus / substitution ----------------------------------------
-    def partial(self, name: str) -> "Scalar":
-        """Formal partial derivative with respect to a symbol."""
-        dn = _poly_partial(self.num, name)
-        dd = _poly_partial(self.den, name)
-        if dd.is_zero():
-            return Scalar(dn, self.den)
-        return Scalar(dn * self.den - self.num * dd, self.den * self.den)
-
-    def substitute(self, bindings: Mapping[str, "Scalar"]) -> "Scalar":
-        """Substitute symbols; DivisionByZero if the denominator vanishes."""
-        if not bindings or not (self.symbols() & set(bindings)):
-            return self
-        num = self.num.eval(bindings)
-        den = self.den.eval(bindings)
-        if den.is_zero():
-            raise DivisionByZero("denominator vanished under substitution")
-        return num / den
-
-    def __str__(self) -> str:
-        if self.den == POLY_ONE:
-            return str(self.num)
-        n, d = str(self.num), str(self.den)
-        if len(self.num.terms) > 1:
-            n = f"({n})"
-        if len(self.den.terms) > 1 or "*" in d or "^" in d:
-            d = f"({d})"
-        return f"{n}/{d}"
-
     def __repr__(self) -> str:
         return f"Scalar({self})"
-
-
-def _poly_partial(p: Poly, name: str) -> Poly:
-    out: dict = {}
-    for m, c in p.terms.items():
-        d = dict(m)
-        e = d.get(name, 0)
-        if not e:
-            continue
-        if e == 1:
-            d.pop(name)
-        else:
-            d[name] = e - 1
-        mm = tuple(sorted(d.items()))
-        s = out.get(mm, QUAD_ZERO) + c * QuadExt.of(e)
-        if s.is_zero():
-            out.pop(mm, None)
-        else:
-            out[mm] = s
-    return Poly(out)
-
-
-def _reduce_pair(num: Poly, den: Poly) -> tuple[Poly, Poly]:
-    if num.is_zero():
-        return POLY_ZERO, POLY_ONE
-    # cancel shared monomial factors
-    g = _mono_gcd2(num.monomial_gcd(), den.monomial_gcd())
-    if g:
-        num, den = num.div_monomial(g), den.div_monomial(g)
-    # exact quotient in either direction clears the fraction entirely
-    if not den.is_constant():
-        q = num.try_div(den)
-        if q is not None:
-            return _scale_out(q, POLY_ONE)
-        q = den.try_div(num)
-        if q is not None and not q.is_zero():
-            # num/den = 1/q
-            return _scale_out(POLY_ONE, q)
-    return _scale_out(num, den)
-
-
-def _scale_out(num: Poly, den: Poly) -> tuple[Poly, Poly]:
-    _, lead = den.leading()
-    if lead == QUAD_ONE:
-        return num, den
-    inv = lead.inverse()
-    return num.scale(inv), den.scale(inv)
-
-
-def _mono_gcd2(m1: Monomial, m2: Monomial) -> Monomial:
-    if not m1 or not m2:
-        return _EMPTY
-    d2 = dict(m2)
-    return tuple(sorted((n, min(e, d2[n])) for n, e in m1 if n in d2))
 
 
 # --------------------------------------------------------------------------
@@ -615,17 +422,15 @@ class LinearSolution:
     inconsistent: bool
 
 
-def _pivot_weight(s: Scalar) -> tuple:
-    # prefer constant pivots, then structurally small ones
-    return (0 if s.is_constant() else 1, len(s.num.terms) + len(s.den.terms))
-
-
 def solve_linear(rows: Sequence[Sequence[Scalar]], rhs: Sequence[Scalar]) -> LinearSolution:
-    """Solve A x = b exactly over the scalar field.
+    """Solve A x = b exactly over the polynomial ring, with constant divisors.
 
-    Gaussian elimination with free pivot choice (constants preferred, ties
-    broken deterministically).  Inconsistency is a reported flag, not an
-    exception, so callers can treat 'no solution' as a computed outcome.
+    Gaussian elimination whose pivot is the first nonzero constant entry, in
+    row-major order, of the rows and columns not used yet.  When only
+    non-constant entries are left, the next pivot is one of them and its
+    ``inverse`` raises NonConstantDivision.  Inconsistency is a reported
+    flag, not an exception, so callers can treat 'no solution' as a
+    computed outcome.
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
@@ -648,7 +453,7 @@ def solve_linear(rows: Sequence[Sequence[Scalar]], rhs: Sequence[Scalar]) -> Lin
                     continue
                 if a[i][j].is_zero():
                     continue
-                w = _pivot_weight(a[i][j]) + (i, j)
+                w = (not a[i][j].is_constant(), i, j)
                 if best_w is None or w < best_w:
                     best, best_w = (i, j), w
         if best is None:

@@ -1,3 +1,4 @@
+import json
 import os
 
 import pytest
@@ -282,6 +283,12 @@ class TestCurvatureSpec:
     def test_misspelled_binding_rejected(self, name):
         with pytest.raises(InconsistentSpec, match=name):
             CurvatureSpec.from_json('{"bindings": {"%s": 1}}' % name)
+
+    @pytest.mark.parametrize("value", ["1/B4", "1/0", "2*(", [1]])
+    def test_bad_binding_value_names_the_binding(self, value):
+        text = json.dumps({"bindings": {"A3": 1, "C2": value}})
+        with pytest.raises(InconsistentSpec, match="'C2'"):
+            CurvatureSpec.from_json(text)
 
     def test_pinned_spec_names_accepted(self):
         for name in ("flat", "d6"):

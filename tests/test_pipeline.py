@@ -1,6 +1,12 @@
+import pytest
+
+from eds235 import pipeline
 from eds235.pipeline import (
     FINAL_CONDITIONS,
+    RowMismatch,
+    build_I2,
     extract_obstructions,
+    generic_frobenius_residuals,
     reduction_consequences,
 )
 from eds235.scalar import Scalar
@@ -32,3 +38,36 @@ def test_final_condition_rows():
     value = Scalar.parse(FINAL_CONDITIONS["A4_1p"])
     assert first.substitute({"A4_1p": value}).is_zero()
     assert Scalar.parse(rows[1]["coefficient"]).symbols() == {"A5_0_1p", "A5_1"}
+
+
+def test_final_conditions_zero_their_rows():
+    rows = extract_obstructions().final_conditions["conditions"]
+    generic = {(g, m): c for g, m, c in generic_frobenius_residuals()}
+    for sym, value in FINAL_CONDITIONS.items():
+        condition = {sym: Scalar.parse(value)}
+        [row] = [e for e in rows if sym in Scalar.parse(e["coefficient"]).symbols()]
+        assert Scalar.parse(row["coefficient"]).substitute(condition).is_zero(), sym
+        coeff = generic[(row["generator"], "th1^om1p")]
+        assert Scalar.parse(coeff).substitute(condition).is_zero(), sym
+
+
+def test_row_mismatch_names_the_corrupted_row(monkeypatch):
+    checks = pipeline._table3_checks
+
+    def corrupted():
+        out = []
+        for name, build in checks():
+            if name == "t3_2a":
+                def build(st, T, inner=build):
+                    lhs, rhs, kills = inner(st, T)
+                    extra = st.ctx.gen("om1p").wedge(st.ctx.gen("om2p"))
+                    return lhs, rhs + extra, kills
+            out.append((name, build))
+        return out
+
+    monkeypatch.setattr(pipeline, "_table3_checks", corrupted)
+    with pytest.raises(RowMismatch) as info:
+        build_I2(check_tables=True)
+    assert info.value.row == "t3_2a"
+    ctx = info.value.residual.ctx
+    assert (info.value.residual + ctx.gen("om1p").wedge(ctx.gen("om2p"))).is_zero()
