@@ -488,9 +488,17 @@ class CurvatureSpec:
         payload = json.loads(text)
         if not isinstance(payload, dict):
             raise InconsistentSpec("spec must be a JSON object")
+        raw_bindings = payload.get("bindings", {})
+        if not isinstance(raw_bindings, dict):
+            raise InconsistentSpec("spec bindings must be a JSON object")
+        raw_relations = payload.get("relations", [])
+        if not isinstance(raw_relations, list) or not all(
+            isinstance(r, str) for r in raw_relations
+        ):
+            raise InconsistentSpec("spec relations must be a list of strings")
         bases, slot_names = set(CURVATURE_SYMBOLS), set(SLOTS)
         bindings = {}
-        for name, value in payload.get("bindings", {}).items():
+        for name, value in raw_bindings.items():
             base, *slots = name.split("_")
             if base not in bases or not slot_names.issuperset(slots):
                 raise InconsistentSpec(f"unknown curvature symbol {name!r} in bindings")
@@ -498,7 +506,12 @@ class CurvatureSpec:
                 bindings[name] = Scalar.of(value)
             except (ValueError, TypeError, ZeroDivisionError) as exc:
                 raise InconsistentSpec(f"bad value for binding {name!r}: {exc}") from exc
-        relations = [Scalar.parse(r) for r in payload.get("relations", [])]
+        relations = []
+        for text in raw_relations:
+            try:
+                relations.append(Scalar.parse(text))
+            except (ValueError, ZeroDivisionError) as exc:
+                raise InconsistentSpec(f"bad relation {text!r}: {exc}") from exc
         return CurvatureSpec(bindings, relations)
 
     def validate(self):

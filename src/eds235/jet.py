@@ -124,10 +124,15 @@ class JetPoint:
 
 
 def act(point: JetPoint, g, h, project: bool = False) -> JetPoint:
-    """Right action of a pair of group elements on a jet point."""
-    aq_m = adjoint_quotient(g, g2_model())
-    aq_n = adjoint_quotient(h, sp6_model())
-    mat = mat_mul(aq_n, mat_mul(point.matrix(), mat_inverse(aq_m)))
+    """Right action of a pair of group elements on a jet point.
+
+    An identity factor acts trivially, so its adjoint quotient is skipped.
+    """
+    mat = point.matrix()
+    if g != mat_identity(len(g)):
+        mat = mat_mul(mat, mat_inverse(adjoint_quotient(g, g2_model())))
+    if h != mat_identity(len(h)):
+        mat = mat_mul(adjoint_quotient(h, sp6_model()), mat)
     out = JetPoint.from_matrix(mat)
     return out.project() if project else out
 

@@ -3,7 +3,11 @@
 Everything downstream computes in one ring: polynomials in named symbols
 with coefficients in Q(sqrt 7).  The tower is
 
-    Fraction  ->  QuadExt (a + b*sqrt7)  ->  Scalar (sparse multivariate)
+    int triple  ->  QuadExt ((p + q*sqrt7)/d)  ->  Scalar (sparse multivariate)
+
+A coefficient is three Python ints in lowest terms, so the inner loops
+add and multiply ints; ``fractions.Fraction`` appears only where rational
+numbers come in (``QuadExt.of``, ``Scalar.rational``) or are printed.
 
 Division is defined only by nonzero constants, so every pivot of a
 reduction is a constant and putting values into a generic result is sound;
@@ -16,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 
@@ -37,58 +42,111 @@ def _frac(x) -> Fraction:
     raise TypeError(f"not a rational: {x!r}")
 
 
-@dataclass(frozen=True)
 class QuadExt:
-    """Element a + b*sqrt(7) of the real quadratic field Q(sqrt 7)."""
+    """Element (p + q*sqrt7)/d of the real quadratic field Q(sqrt 7).
 
-    a: Fraction
-    b: Fraction
+    The three ints are kept in lowest terms: d > 0 and gcd(p, q, d) == 1,
+    so equal elements have equal triples and zero is (0, 0, 1).  Instances
+    are never mutated.  ``a`` and ``b`` give the rational parts as
+    Fractions, for printing and for callers outside the arithmetic.
+    """
+
+    __slots__ = ("p", "q", "d")
+
+    def __init__(self, p: int, q: int = 0, d: int = 1):
+        if d != 1:
+            if d < 0:
+                p, q, d = -p, -q, -d
+            elif not d:
+                raise DivisionByZero("zero denominator in Q(sqrt 7)")
+            g = gcd(p, q, d)
+            if g != 1:
+                p //= g
+                q //= g
+                d //= g
+        self.p = p
+        self.q = q
+        self.d = d
 
     @staticmethod
     def of(a, b=0) -> "QuadExt":
-        return QuadExt(_frac(a), _frac(b))
+        a, b = _frac(a), _frac(b)
+        d = lcm(a.denominator, b.denominator)
+        return QuadExt(a.numerator * (d // a.denominator),
+                       b.numerator * (d // b.denominator), d)
+
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self.p, self.d)
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self.q, self.d)
 
     def __add__(self, o: "QuadExt") -> "QuadExt":
-        return QuadExt(self.a + o.a, self.b + o.b)
+        d = self.d
+        if d == o.d:
+            return QuadExt(self.p + o.p, self.q + o.q, d)
+        e = o.d
+        return QuadExt(self.p * e + o.p * d, self.q * e + o.q * d, d * e)
 
     def __sub__(self, o: "QuadExt") -> "QuadExt":
-        return QuadExt(self.a - o.a, self.b - o.b)
+        d = self.d
+        if d == o.d:
+            return QuadExt(self.p - o.p, self.q - o.q, d)
+        e = o.d
+        return QuadExt(self.p * e - o.p * d, self.q * e - o.q * d, d * e)
 
     def __neg__(self) -> "QuadExt":
-        return QuadExt(-self.a, -self.b)
+        return QuadExt(-self.p, -self.q, self.d)
 
     def __mul__(self, o: "QuadExt") -> "QuadExt":
-        return QuadExt(self.a * o.a + 7 * self.b * o.b, self.a * o.b + self.b * o.a)
+        p, q, r, s = self.p, self.q, o.p, o.q
+        if not q and not s:
+            return QuadExt(p * r, 0, self.d * o.d)
+        return QuadExt(p * r + 7 * q * s, p * s + q * r, self.d * o.d)
 
     def inverse(self) -> "QuadExt":
-        if self.is_zero():
+        p, q = self.p, self.q
+        if not p and not q:
             raise DivisionByZero("inverse of zero in Q(sqrt 7)")
-        # a^2 = 7 b^2 has no rational solution but a = b = 0: the norm is nonzero
-        n = self.a * self.a - 7 * self.b * self.b
-        return QuadExt(self.a / n, -self.b / n)
+        # p^2 = 7 q^2 has no integer solution but p = q = 0: the norm is nonzero
+        return QuadExt(self.d * p, -self.d * q, p * p - 7 * q * q)
 
     def __truediv__(self, o: "QuadExt") -> "QuadExt":
         return self * o.inverse()
 
     def conjugate(self) -> "QuadExt":
-        return QuadExt(self.a, -self.b)
+        return QuadExt(self.p, -self.q, self.d)
 
     def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
+        return not self.p and not self.q
+
+    def __eq__(self, o) -> bool:
+        if not isinstance(o, QuadExt):
+            return NotImplemented
+        return self.p == o.p and self.q == o.q and self.d == o.d
+
+    def __hash__(self):
+        return hash((self.p, self.q, self.d))
+
+    def __repr__(self) -> str:
+        return f"QuadExt({self.p}, {self.q}, {self.d})"
 
     def __str__(self) -> str:
-        if self.b == 0:
-            return str(self.a)
-        srt = "sqrt7" if abs(self.b) == 1 else f"{abs(self.b)}*sqrt7"
-        sb = srt if self.b > 0 else "-" + srt
-        if self.a == 0:
+        a, b = self.a, self.b
+        if b == 0:
+            return str(a)
+        srt = "sqrt7" if abs(b) == 1 else f"{abs(b)}*sqrt7"
+        sb = srt if b > 0 else "-" + srt
+        if a == 0:
             return sb
-        return f"{self.a}+{srt}" if self.b > 0 else f"{self.a}-{srt}"
+        return f"{a}+{srt}" if b > 0 else f"{a}-{srt}"
 
 
-QUAD_ZERO = QuadExt(Fraction(0), Fraction(0))
-QUAD_ONE = QuadExt(Fraction(1), Fraction(0))
-SQRT7 = QuadExt(Fraction(0), Fraction(1))
+QUAD_ZERO = QuadExt(0)
+QUAD_ONE = QuadExt(1)
+SQRT7 = QuadExt(0, 1)
 
 # A monomial is a tuple of (symbol name, positive exponent) pairs, sorted by
 # name.  The empty tuple is the constant monomial.
@@ -158,7 +216,10 @@ class Scalar:
 
     @staticmethod
     def rational(p, q=1) -> "Scalar":
-        return Scalar.from_quad(QuadExt.of(Fraction(_frac(p), _frac(q))))
+        if type(p) is not int or type(q) is not int:
+            r = _frac(p) / _frac(q)
+            p, q = r.numerator, r.denominator
+        return Scalar.from_quad(QuadExt(p, 0, q))
 
     @staticmethod
     def sqrt7() -> "Scalar":
@@ -256,7 +317,7 @@ class Scalar:
                 if n == name:
                     rest = ((n, e - 1),) if e > 1 else ()
                     # lowering one exponent maps distinct monomials apart
-                    out[m[:i] + rest + m[i + 1:]] = c * QuadExt.of(e)
+                    out[m[:i] + rest + m[i + 1:]] = QuadExt(c.p * e, c.q * e, c.d)
                     break
         return Scalar(out)
 

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import pytest
 
@@ -288,6 +289,21 @@ class TestCurvatureSpec:
     def test_bad_binding_value_names_the_binding(self, value):
         text = json.dumps({"bindings": {"A3": 1, "C2": value}})
         with pytest.raises(InconsistentSpec, match="'C2'"):
+            CurvatureSpec.from_json(text)
+
+    def test_bindings_must_be_an_object(self):
+        with pytest.raises(InconsistentSpec, match="bindings"):
+            CurvatureSpec.from_json('{"bindings": [1]}')
+
+    @pytest.mark.parametrize("relations", ['"A3"', '["A3", 1]'])
+    def test_relations_must_be_a_list_of_strings(self, relations):
+        with pytest.raises(InconsistentSpec, match="relations"):
+            CurvatureSpec.from_json('{"relations": %s}' % relations)
+
+    @pytest.mark.parametrize("relation", ["2*(", "1/B4", "1/0"])
+    def test_bad_relation_is_named(self, relation):
+        text = json.dumps({"relations": ["A3 - 1", relation]})
+        with pytest.raises(InconsistentSpec, match=re.escape(repr(relation))):
             CurvatureSpec.from_json(text)
 
     def test_pinned_spec_names_accepted(self):

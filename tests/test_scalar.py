@@ -1,5 +1,6 @@
 """Arithmetic layer: ring axioms, the quadratic extension, linear solves."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -44,6 +45,51 @@ def test_sqrt7_powers():
     s4 = s2 * s2
     assert s2 == QuadExt.of(7, 0)
     assert s4 == QuadExt.of(49, 0)
+
+
+def _lowest_terms(x: QuadExt) -> bool:
+    return x.d > 0 and math.gcd(x.p, x.q, x.d) == 1
+
+
+@given(quads, quads)
+def test_quad_results_in_lowest_terms(x, y):
+    results = [x + y, x - y, x * y, -x]
+    if not y.is_zero():
+        results += [x / y, y.inverse()]
+    for r in results:
+        assert _lowest_terms(r), r
+
+
+@given(quads)
+def test_quad_of_round_trip(x):
+    y = QuadExt.of(x.a, x.b)
+    assert (y.p, y.q, y.d) == (x.p, x.q, x.d)
+    assert y == x and hash(y) == hash(x)
+
+
+@given(rationals, rationals)
+def test_quad_str_matches_fraction_rendering(a, b):
+    x = QuadExt.of(a, b)
+    if b == 0:
+        expected = str(a)
+    else:
+        srt = "sqrt7" if abs(b) == 1 else f"{abs(b)}*sqrt7"
+        sign = "+" if b > 0 else "-"
+        expected = (sign.lstrip("+") + srt) if a == 0 else f"{a}{sign}{srt}"
+    assert str(x) == expected
+
+
+def test_quad_str_examples():
+    assert str(QuadExt.of(Fraction(1, 2), Fraction(-3, 4))) == "1/2-3/4*sqrt7"
+    assert str(QuadExt.of(0, -1)) == "-sqrt7"
+    assert str(QuadExt.of(Fraction(-6, 4))) == "-3/2"
+
+
+def test_quad_zero_is_canonical():
+    for z in [QuadExt(0), QuadExt(0, 0, -5), QuadExt.of(3) - QuadExt.of(3),
+              QuadExt.of(Fraction(1, 3), 2) * QuadExt(0)]:
+        assert (z.p, z.q, z.d) == (0, 0, 1)
+        assert z.is_zero()
 
 
 @given(quads)
