@@ -7,7 +7,8 @@ Each subcommand prints one JSON document on standard output:
     eds235 obstructions             the obstruction report of the generic spec
 
 The exit code is 0 when the spec is embeddable or every suite passed, 1
-when not, and 2 when the spec file cannot be read or is malformed.
+when not, and 2 when the spec file cannot be read, is malformed, or
+contradicts itself (a relation its bindings violate, cyclic bindings).
 """
 
 from __future__ import annotations
@@ -49,7 +50,11 @@ def main(argv: list[str] | None = None) -> int:
         except (OSError, ValueError, InconsistentSpec) as exc:
             print(f"eds235: {args.spec}: {exc}", file=sys.stderr)
             return 2
-        verdict = embeddability_verdict(spec)
+        try:
+            verdict = embeddability_verdict(spec)
+        except InconsistentSpec as exc:
+            print(f"eds235: {args.spec}: {exc}", file=sys.stderr)
+            return 2
         _print(verdict.to_payload())
         return 0 if verdict.embeddable else 1
     if args.command == "examples":

@@ -3,13 +3,13 @@
 The embedding system on the 35-dimensional product locus is prolonged by 18
 fibre coordinates (the entries of a symmetric-tensor family parameterizing
 the prolongation space).  A staged cascade of exterior-derivative
-computations, each verified against a stored expected residual, binds all 18
-coordinates to curvature expressions and absorbs five coframe freedoms.  The
-surviving ideal has 26 generators; its Frobenius obstructions split into
-consequences of the connection reduction plus exactly two scalar conditions
-on curvature derivatives.  Everything is exact: residuals are compared to
-stored forms coefficient by coefficient, and any divergence aborts with the
-first mismatched monomial.
+computations binds all 18 coordinates to curvature expressions and absorbs
+five coframe freedoms: each row's residual torsion is solved for the
+coordinates it forces, and what is left must lie on the direction the row
+absorbs.  The surviving ideal has 26 generators; its Frobenius obstructions
+split into consequences of the connection reduction plus exactly two scalar
+conditions on curvature derivatives.  Everything is exact, and a row that
+does not come out aborts with its name and the residual that is left.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .geometry import (
     SB_OF_SLOT,
     CurvatureSpec,
     Inconsistent,
+    InconsistentSpec,
     build_M_context,
     reconstruct_derivatives,
     reduce_relations,
@@ -32,20 +33,26 @@ from .geometry import (
 )
 from .jet import H_COLUMNS, ROW_KEYS, h_name, pi_name, stage_context
 from .liemodel import mc_rules, sp6_model
-from .scalar import Scalar, rank_of
+from .scalar import Scalar, rank_of, solve_linear
+
+
+def _monomial_name(ctx: CoframedContext, idx: tuple) -> str:
+    return "^".join(ctx.generators[i].name for i in idx)
 
 
 class RowMismatch(Exception):
-    """A recomputed cascade row disagrees with its stored expected form."""
+    """A cascade or second-stage row whose residual does not come out.
+
+    Raised with the residual that is left: torsion that is not affine in the
+    free coordinates or has no solution, a remainder off the absorbed
+    direction, or a second-stage congruence that does not reduce to zero.
+    """
 
     def __init__(self, row: str, residual: Form):
         self.row = row
         self.residual = residual
-        ctx = residual.ctx
-        parts = []
-        for idx, c in sorted(residual.terms.items()):
-            mono = "^".join(ctx.generators[i].name for i in idx)
-            parts.append(f"({c})*{mono}")
+        parts = [f"({c})*{_monomial_name(residual.ctx, idx)}"
+                 for idx, c in sorted(residual.terms.items())]
         super().__init__(f"row {row}: residual {' + '.join(parts) or '0'}")
 
 
@@ -54,14 +61,18 @@ class ObstructionNonzero(Exception):
 
 
 def _saturate(bindings: Mapping[str, Scalar]) -> dict:
-    """Iterate substitution until binding values mention no bound symbol."""
+    """Iterate substitution until binding values mention no bound symbol.
+
+    Bindings that never get there form a cycle (``A3 -> A3 + 1``, or
+    ``A3 -> B3 -> A3``); they raise InconsistentSpec naming their symbols.
+    """
     b = dict(bindings)
-    for _ in range(len(b) + 2):
-        nb = {k: v.substitute(b) for k, v in b.items()}
-        if all(nb[k] == b[k] for k in b):
-            return nb
-        b = nb
-    raise Inconsistent("cyclic curvature bindings")
+    for _ in range(len(b) + 1):
+        cyclic = sorted(k for k, v in b.items() if v.symbols() & b.keys())
+        if not cyclic:
+            return b
+        b = {k: v.substitute(b) for k, v in b.items()}
+    raise InconsistentSpec(f"cyclic curvature bindings: {', '.join(cyclic)}")
 
 
 # --------------------------------------------------------------------------
@@ -315,9 +326,6 @@ TILDE_CORRECTIONS = {
     ],
 }
 
-TILDE_BASES = list(TILDE_CORRECTIONS)
-
-
 def _entries_form(stage: PStage, entries) -> Form:
     ctx = stage.ctx
     f = ctx.zero()
@@ -330,13 +338,10 @@ def _entries_form(stage: PStage, entries) -> Form:
     return f
 
 
-def tilde_form(stage: PStage, base: str) -> Form:
-    """Connection generator minus its prolongation-coordinate correction."""
-    return stage.ctx.gen(base) - _entries_form(stage, TILDE_CORRECTIONS[base])
-
-
 def tilde_system(stage: PStage) -> dict:
-    return {b + "_t": tilde_form(stage, b) for b in TILDE_BASES}
+    """Each connection generator minus its prolongation-coordinate correction."""
+    return {b + "_t": stage.ctx.gen(b) - _entries_form(stage, entries)
+            for b, entries in TILDE_CORRECTIONS.items()}
 
 
 def theta_system(stage: PStage) -> dict:
@@ -347,13 +352,6 @@ def theta_system(stage: PStage) -> dict:
         pi = reindex(v4.pi_solutions[pi_name(k, s)], stage.ctx)
         out[f"Th{k}_{s}"] = pi + _entries_form(stage, entries)
     return out
-
-
-def ideal_one_forms(stage: PStage) -> list:
-    """Contact forms plus corrected connection forms: a basis of the ideal."""
-    return list(contact_system(stage.ctx).values()) + list(
-        tilde_system(stage).values()
-    )
 
 
 @lru_cache(maxsize=1)
@@ -388,19 +386,47 @@ def build_I1() -> IdealGenerators:
 # the reduction cascade
 # --------------------------------------------------------------------------
 
+# The staged congruences, in cascade order: (name, d-combination, killed
+# generators, absorbed coframe direction).  A d-combination lists
+# (coefficient, corrected form, right wedge factor or None) and stands for
+# the sum of coefficient * d(corrected form) ∧ factor.
+CASCADE_ROWS = [
+    ("V5", [("1", "et3_3p_t", None)], ["th1"], None),
+    ("V6", [("1", "ga12_t", None)], ["th2", "om0", "om1p", "om2p"], "gam2"),
+    ("row1", [("1", "et3_3p_t", None)], [], None),
+    ("row2", [("1", "ga_t", None)], ["th1", "th2", "om0", "om2p"], "gam1"),
+    ("row3", [("1", "et3p_3_t", None)], ["th1", "th2", "om0"], None),
+    ("row4", [("1", "et2_2_t", None)], ["th1", "om0", "om2p"], None),
+    ("row5", [("1/14", "et3_3_t", None), ("1/6", "et2_2_t", None)],
+     ["th1", "om0", "om2p"], None),
+    ("row6", [("6", "ga02_t", "th2"), ("-4", "et_13p_t", "th2"),
+              ("3", "et3p_3_t", "th1")], ["om0", "om2p"], None),
+    ("row7", [("2/7", "ga02_t", None), ("-1/42", "et_13p_t", None)],
+     ["th2", "om0", "om2p"], None),
+    ("row8a", [("1", "et1_1_t", None), ("-1", "et2_2_t", None),
+               ("2", "et3_3_t", None)], ["th2"], None),
+    ("row8b", [("1", "et3p_3_t", "th1"), ("4", "et1_1_t", "om0"),
+               ("-4", "et2_2_t", "om0"), ("4", "et3_3_t", "om0")], ["th2"], None),
+    ("row9", [("5/42", "et3p_3_t", None), ("1/21", "et_23p_t", None)],
+     ["th2", "om0", "om2p"], None),
+    ("row10", [("1", "et2_1_t", None)], ["th2", "om0", "om1p", "om2p"], "et_11"),
+    ("row11", [("3", "et1_1_t", None), ("-1", "et2_2_t", None)],
+     ["th2", "om0", "om1p", "om2p"], "et_12"),
+    ("row12", [("1", "et1_2_t", None)], ["th2", "om0", "om1p", "om2p"], "et_22"),
+]
+
+
 @dataclass
 class ReductionStep:
     name: str
     bindings: dict
     coframe: str | None = None
-    residual_zero: bool = True
 
 
 @dataclass
 class ReductionResult:
     steps: list
     p_values: dict
-    stage: PStage
 
 
 @lru_cache(maxsize=1)
@@ -409,181 +435,69 @@ def _table_eliminations() -> dict:
     return dict(reconstruct_derivatives(depth=2).eliminations)
 
 
-def _check_congruence(stage: PStage, name: str, lhs: Form, rhs: Form,
-                      kills: Sequence[str], ideal: Sequence[Form]):
+def _combination(ctx: CoframedContext, forms: Mapping[str, Form],
+                 combo) -> Form:
+    """Sum of coefficient * d(forms[base]) ∧ factor over a d-combination."""
+    out = ctx.zero()
+    for coeff, base, factor in combo:
+        f = forms[base].d().scale(Scalar.parse(coeff))
+        if factor is not None:
+            f = f.wedge(ctx.gen(factor))
+        out = out + f
+    return out
+
+
+def _residual(stage: PStage, lhs: Form, kills: Sequence[str],
+              ideal: Sequence[Form]) -> Form:
+    """lhs modulo the killed generators and the ideal, in table normal form."""
     mods = [stage.ctx.gen(k) for k in kills] + list(ideal)
-    res = reduce_mod(lhs - rhs, mods).normal_form
+    res = reduce_mod(lhs, mods).normal_form
+    return res.substitute_scalars(_table_eliminations())
+
+
+def _forced_bindings(stage: PStage, name: str, residual: Form) -> dict:
+    """Solve the torsion of a residual for the coordinates it forces.
+
+    The torsion is every coefficient that mentions a free coordinate; each
+    must be affine in the free coordinates.  The pivot coordinates of the
+    solved system are bound to their values in the remaining ones.
+    """
+    free = stage.free()
+    torsion = [c for c in residual.terms.values() if c.symbols() & set(free)]
+    mentioned = set().union(*(c.symbols() for c in torsion))
+    cols = [p for p in free if p in mentioned]
+    at_zero = {p: Scalar.zero() for p in cols}
+    rows = [[c.partial(p) for p in cols] for c in torsion]
+    if not all(x.is_constant() for row in rows for x in row):
+        raise RowMismatch(name, residual)
+    sol = solve_linear(rows, [-c.substitute(at_zero) for c in torsion])
+    if sol.inconsistent:
+        raise RowMismatch(name, residual)
+    out = {}
+    for j in sol.pivot_cols:
+        v = sol.particular[j]
+        for k, vec in zip(sol.free_cols, sol.nullspace):
+            v = v + vec[j] * Scalar.symbol(cols[k])
+        out[cols[j]] = v
+    return out
+
+
+def _check_absorbed(stage: PStage, name: str, residual: Form,
+                    bindings: Mapping[str, Scalar], absorbed: str | None):
+    """With the bindings applied, the residual lies on the absorbed direction."""
+    ctx = stage.ctx
+    res = residual.substitute_scalars(bindings)
+    for p, v in bindings.items():
+        res = ctx.substitute_generator(res, dp_name(p), ctx.d_scalar(v))
     res = res.substitute_scalars(_table_eliminations())
+    if absorbed is not None:
+        k = ctx.index_of(absorbed)
+        res = Form(ctx, {i: c for i, c in res.terms.items() if k not in i})
     if not res.is_zero():
         raise RowMismatch(name, res)
 
 
-_ZI = ["om0", "om1p", "om2p"]
-
-
-def _cascade_rows():
-    """The staged congruence checks and the bindings each one forces.
-
-    Each entry: (name, row builder, bindings, absorbed coframe direction).
-    The builder returns (lhs, expected residual, killed generators); the
-    congruence is checked modulo the killed generators plus the current
-    ideal basis, and a failure aborts the cascade with that row's name.
-    """
-    S = Scalar.parse
-
-    def w(ctx, spec):
-        return ctx.form(spec)
-
-    def pre_V5(st, T):
-        lhs = T["et3_3p"].d()
-        rhs = w(st.ctx, {
-            ("th2", "om1p"): S("3") * st.p("p11_22") - S("12") * st.p("p12_12"),
-            ("om0", "om1p"): S("-15") * st.p("p13_12p"),
-        })
-        return lhs, rhs, ["th1"]
-
-    def pre_V6(st, T):
-        u = st.p("p11_22") - S("4") * st.p("p22_11")
-        lhs = T["ga12"].d()
-        vec = (st.ctx.gen("ze2").scale(S("3/4") * u)
-               + st.ctx.gen("ze1").scale(S("9/4") * u)
-               + st.ctx.gen("gam2")
-               - st.ctx.d_scalar(u).scale(S("3/4")))
-        return lhs, vec.wedge(st.ctx.gen("th1")), ["th2"] + _ZI
-
-    def row1(st, T):
-        lhs = T["et3_3p"].d()
-        rhs = w(st.ctx, {
-            ("th1", "th2"): S("-2") * st.p("p13p_22"),
-            ("th1", "om0"): (S("4") * st.p("p13_12")
-                             - S("2") * st.p("p13p_20")
-                             - S("14") * st.p("p23_11")),
-            ("th1", "om1p"): (S("12") * st.p("p12_11")
-                              - S("8") * st.p("p13_10")),
-        })
-        return lhs, rhs, []
-
-    def row2(st, T):
-        u = st.p("p11_12") - S("2") * st.p("p12_11")
-        lhs = T["ga"].d()
-        vec = (st.ctx.gen("ze2").scale(S("-3") * u)
-               + st.ctx.gen("ze1").scale(S("-9/2") * u)
-               + st.ctx.gen("gam1")
-               + st.ctx.d_scalar(u).scale(S("3/2")))
-        return lhs, vec.wedge(st.ctx.gen("om1p")), ["th1", "th2", "om0", "om2p"]
-
-    def row3(st, T):
-        lhs = T["et3p_3"].d()
-        rhs = w(st.ctx, {("om1p", "om2p"): S("2") * st.p("p13p_00")})
-        return lhs, rhs, ["th1", "th2", "om0"]
-
-    def row4(st, T):
-        lhs = T["et2_2"].d()
-        rhs = w(st.ctx, {
-            ("th2", "om1p"): S("-3") * st.p("p13_12") - S("3/2*A3"),
-        })
-        return lhs, rhs, ["th1", "om0", "om2p"]
-
-    def row5(st, T):
-        lhs = T["et3_3"].d().scale(S("1/14")) + T["et2_2"].d().scale(S("1/6"))
-        rhs = w(st.ctx, {
-            ("th2", "om1p"): -(st.p("p23_11") + S("2/7*A3")),
-        })
-        return lhs, rhs, ["th1", "om0", "om2p"]
-
-    def row6(st, T):
-        th1, th2 = st.ctx.gen("th1"), st.ctx.gen("th2")
-        lhs = (T["ga02"].d().scale(S("6")).wedge(th2)
-               - T["et_13p"].d().scale(S("4")).wedge(th2)
-               + T["et3p_3"].d().scale(S("3")).wedge(th1))
-        rhs = w(st.ctx, {
-            ("th1", "th2", "om1p"): S("30") * st.p("p13p_12"),
-        })
-        return lhs, rhs, ["om0", "om2p"]
-
-    def row7(st, T):
-        lhs = T["ga02"].d().scale(S("2/7")) - T["et_13p"].d().scale(S("1/42"))
-        rhs = w(st.ctx, {
-            ("th1", "om1p"): -(st.p("p23p_11") + S("2/7*B3")),
-        })
-        return lhs, rhs, ["th2", "om0", "om2p"]
-
-    def row8a(st, T):
-        lhs = T["et1_1"].d() - T["et2_2"].d() + T["et3_3"].d().scale(S("2"))
-        rhs = w(st.ctx, {
-            ("th1", "om1p"): (S("9") * st.p("p13_11")
-                              + S("4") * st.p("p13p_10") + S("A4")),
-        })
-        return lhs, rhs, ["th2"]
-
-    def row8b(st, T):
-        th1, om0 = st.ctx.gen("th1"), st.ctx.gen("om0")
-        lhs = (T["et3p_3"].d().wedge(th1)
-               + (T["et1_1"].d() - T["et2_2"].d() + T["et3_3"].d())
-               .scale(S("4")).wedge(om0))
-        rhs = w(st.ctx, {
-            ("th1", "om0", "om1p"): (S("-24") * st.p("p13_11")
-                                     + st.p("p13p_10") - S("6*A4")),
-        })
-        return lhs, rhs, ["th2"]
-
-    def row9(st, T):
-        lhs = (T["et3p_3"].d().scale(S("5/42"))
-               + T["et_23p"].d().scale(S("2/42")))
-        rhs = w(st.ctx, {
-            ("th1", "om1p"): st.p("p13p_11") - S("2/21*B4"),
-        })
-        return lhs, rhs, ["th2", "om0", "om2p"]
-
-    def _vertical_row(st, T, base, scale_lhs, c2, c1, ceta, eta, cdv):
-        v = st.p(base)
-        lhs = scale_lhs(T)
-        vec = (st.ctx.gen("ze2").scale(S(c2) * v)
-               + st.ctx.gen("ze1").scale(S(c1) * v)
-               + st.ctx.gen(eta).scale(S(ceta))
-               + st.ctx.d_scalar(v).scale(S(cdv)))
-        return lhs, vec.wedge(st.ctx.gen("th1")), ["th2"] + _ZI
-
-    def row10(st, T):
-        return _vertical_row(st, T, "p22_11",
-                             lambda T: T["et2_1"].d(),
-                             "-3/2", "-9/2", "1/3", "et_11", "3/2")
-
-    def row11(st, T):
-        return _vertical_row(st, T, "p12_11",
-                             lambda T: T["et1_1"].d().scale(S("3")) - T["et2_2"].d(),
-                             "-6", "-9", "2/3", "et_12", "3")
-
-    def row12(st, T):
-        return _vertical_row(st, T, "p11_11",
-                             lambda T: T["et1_2"].d(),
-                             "-9/2", "-9/2", "1/3", "et_22", "3/2")
-
-    return [
-        ("V5", pre_V5, {"p11_22": "4*p12_12", "p13_12p": "0"}, None),
-        ("V6", pre_V6, {"p22_11": "p12_12"}, "gam2"),
-        ("row1", row1, {
-            "p13p_22": "0",
-            "p13_10": "3/2*p12_11",
-            "p13p_20": "2*p13_12-7*p23_11",
-        }, None),
-        ("row2", row2, {"p11_12": "2*p12_11"}, "gam1"),
-        ("row3", row3, {"p13p_00": "0"}, None),
-        ("row4", row4, {"p13_12": "-1/2*A3"}, None),
-        ("row5", row5, {"p23_11": "-2/7*A3"}, None),
-        ("row6", row6, {"p13p_12": "0"}, None),
-        ("row7", row7, {"p23p_11": "-2/7*B3"}, None),
-        ("row8a", row8a, {}, None),
-        ("row8b", row8b, {"p13_11": "-5/21*A4", "p13p_10": "2/7*A4"}, None),
-        ("row9", row9, {"p13p_11": "2/21*B4"}, None),
-        ("row10", row10, {"p12_12": "0"}, "et_11"),
-        ("row11", row11, {"p12_11": "0"}, "et_12"),
-        ("row12", row12, {"p11_11": "0"}, "et_22"),
-    ]
-
-
-def _bind(stage: PStage, bindings: Mapping[str, str], label: str) -> PStage:
-    new = {k: Scalar.parse(v) for k, v in bindings.items()}
+def _bind(stage: PStage, new: Mapping[str, Scalar], label: str) -> PStage:
     vals = {k: v.substitute(new) for k, v in stage.p_values.items()}
     vals.update(new)
     return prolonged_stage(vals, label=label)
@@ -591,26 +505,29 @@ def _bind(stage: PStage, bindings: Mapping[str, str], label: str) -> PStage:
 
 @lru_cache(maxsize=1)
 def table_reductions() -> ReductionResult:
-    """Run the cascade: verify every stored congruence, bind all 18 values.
+    """Run the cascade: derive the bindings of all 18 coordinates, row by row.
 
-    Each step recomputes an exterior-derivative congruence modulo the listed
-    generators and the current ideal basis, compares to the stored residual,
-    and then applies the forced bindings.  Five of the steps additionally
-    absorb a connection generator into the coframe (recorded per step).
+    Each row reduces its d-combination modulo its killed generators and the
+    current ideal basis.  The torsion (coefficients in the free coordinates)
+    is solved and its pivot coordinates are bound; what is left must lie on
+    the connection direction the row absorbs into the coframe (five rows
+    absorb one, recorded per step), or vanish.
     """
     stage = _initial_stage()
     steps = []
-    for name, builder, bindings, coframe in _cascade_rows():
-        T = {b: tilde_form(stage, b) for b in TILDE_BASES}
-        lhs, rhs, kills = builder(stage, T)
-        ideal = ideal_one_forms(stage)
-        _check_congruence(stage, name, lhs, rhs, kills, ideal)
+    for name, combo, kills, coframe in CASCADE_ROWS:
+        T = tilde_system(stage)
+        ideal = list(contact_system(stage.ctx).values()) + list(T.values())
+        residual = _residual(stage, _combination(stage.ctx, T, combo), kills,
+                             ideal)
+        bindings = _forced_bindings(stage, name, residual)
+        _check_absorbed(stage, name, residual, bindings, coframe)
         if bindings:
             stage = _bind(stage, bindings, label=name)
-        steps.append(ReductionStep(name, dict(bindings), coframe))
+        steps.append(ReductionStep(name, bindings, coframe))
     if stage.free():
         raise Inconsistent(f"cascade left free coordinates: {stage.free()}")
-    return ReductionResult(steps, dict(stage.p_values), stage)
+    return ReductionResult(steps, {p: stage.p_values[p] for p in P_SYMBOLS})
 
 
 def final_p_values() -> dict:
@@ -805,55 +722,28 @@ def _second_stage_forms(stage: PStage,
     return out
 
 
-def _table3_checks():
-    """Congruences justifying the five second-stage corrected forms."""
-    S = Scalar.parse
-
-    def vec(ctx, spec):
-        f = ctx.zero()
-        for g, c in spec:
-            f = f + ctx.gen(g).scale(S(c) if isinstance(c, str) else c)
-        return f
-
-    def t3(name, lhs_fn, lead, spec, kills):
-        def build(st, T):
-            lhs = lhs_fn(T)
-            rhs = st.ctx.gen(lead).wedge(vec(st.ctx, spec))
-            return lhs, rhs, kills
-        return name, build
-
-    return [
-        t3("gam2_a", lambda T: T["ga12_t"].d(), "th1",
-           [("om1p", "17/14*A3"), ("gam2", "-1")], []),
-        t3("gam2_b", lambda T: T["ga02_t"].d(), "om0",
-           [("th1", "-2*C2-1/14*A3_0"), ("gam2", "-1")],
-           ["th2", "om1p", "om2p"]),
-        t3("t3_1a", lambda T: T["et3_3_t"].d().scale(Scalar.rational(2)), "th1",
-           [("th2", "-C2"), ("om0", "22/7*B3"), ("om1p", "-9/7*A4"),
-            ("om2p", "-37/14*A3"), ("gam1", "1")], []),
-        t3("t3_1b", lambda T: T["ga_t"].d(), "om1p",
-           [("th1", "C3+4/7*B3_1p"), ("gam1", "-1")],
-           ["th2", "om0", "om2p"]),
-        t3("t3_2a", lambda T: T["et2_1_t"].d().scale(Scalar.rational(3)), "th1",
-           [("om1p", "18/7*A3"), ("et_11", "-1")], []),
-        t3("t3_2b", lambda T: T["et_13p_t"].d(), "om0",
-           [("th1", "-6/7*A3_0"), ("et_11", "-1")],
-           ["th2", "om1p", "om2p"]),
-        t3("t3_3a", lambda T: (T["et2_2_t"].d().scale(Scalar.rational(3))
-                               - T["et3_3_t"].d().scale(Scalar.rational(9))),
-           "th1",
-           [("om0", "-54/7*B3"), ("om1p", "24/7*A4"),
-            ("om2p", "54/7*A3"), ("et_12", "-1")], []),
-        t3("t3_3b", lambda T: T["et_13_t"].d(), "om1p",
-           [("th1", "6/7*B3_1p"), ("et_12", "-1")],
-           ["th2", "om0", "om2p"]),
-        t3("t3_4a", lambda T: T["et1_2_t"].d().scale(Scalar.rational(3)), "th1",
-           [("om0", "-36/7*B4"), ("om1p", "3*A5"),
-            ("om2p", "36/7*A4"), ("et_22", "-1")], []),
-        t3("t3_4b", lambda T: T["et_23_t"].d(), "om1p",
-           [("th1", "2/7*B4_1p"), ("et_22", "-1")],
-           ["th2", "om0", "om2p"]),
-    ]
+# The congruences that justify the second-stage forms, in pairs: (name,
+# d-combination, lead, determined form, killed generators).  Each checks
+# that combination + lead ∧ form reduces to zero; the second check of a
+# pair adds its form to the ideal of the checks after it.
+SECOND_STAGE_CHECKS = [
+    ("gam2_a", [("1", "ga12_t", None)], "th1", "gam2_t", []),
+    ("gam2_b", [("1", "ga02_t", None)], "om0", "gam2_t",
+     ["th2", "om1p", "om2p"]),
+    ("t3_1a", [("-2", "et3_3_t", None)], "th1", "gam1_t", []),
+    ("t3_1b", [("1", "ga_t", None)], "om1p", "gam1_t",
+     ["th2", "om0", "om2p"]),
+    ("t3_2a", [("3", "et2_1_t", None)], "th1", "et_11_t", []),
+    ("t3_2b", [("1", "et_13p_t", None)], "om0", "et_11_t",
+     ["th2", "om1p", "om2p"]),
+    ("t3_3a", [("3", "et2_2_t", None), ("-9", "et3_3_t", None)], "th1",
+     "et_12_t", []),
+    ("t3_3b", [("1", "et_13_t", None)], "om1p", "et_12_t",
+     ["th2", "om0", "om2p"]),
+    ("t3_4a", [("3", "et1_2_t", None)], "th1", "et_22_t", []),
+    ("t3_4b", [("1", "et_23_t", None)], "om1p", "et_22_t",
+     ["th2", "om0", "om2p"]),
+]
 
 
 def build_I2(spec: CurvatureSpec | None = None,
@@ -861,9 +751,9 @@ def build_I2(spec: CurvatureSpec | None = None,
     """Final ideal: contact forms plus the 19 corrected connection forms.
 
     Requires the five stage-1 obstructions to vanish; they are imposed on
-    top of the given spec.  When check_tables is set, the congruences that
-    justify each second-stage corrected form are re-derived and compared to
-    their stored residuals.
+    top of the given spec.  When check_tables is set, the congruences of
+    SECOND_STAGE_CHECKS that justify each second-stage form are checked
+    against the forms built here.
     """
     bindings = _saturate(spec.bindings) if spec is not None else {}
     for s in STAGE1_OBSTRUCTIONS:
@@ -883,19 +773,17 @@ def build_I2(spec: CurvatureSpec | None = None,
     forms = {**contact, **first, **second}
 
     if check_tables:
-        # Each congruence pair determines one second-stage form; later rows
-        # hold modulo the forms the earlier rows determined.
         ideal = list(contact.values()) + list(first.values())
-        T = {**first, **second}
-        determined = {
-            "gam2_b": "gam2_t", "t3_1b": "gam1_t", "t3_2b": "et_11_t",
-            "t3_3b": "et_12_t", "t3_4b": "et_22_t",
-        }
-        for name, builder in _table3_checks():
-            lhs, rhs, kills = builder(stage, T)
-            _check_congruence(stage, name, lhs, rhs, kills, ideal)
-            if name in determined:
-                ideal.append(second[determined[name]])
+        checked = set()
+        for name, combo, lead, form, kills in SECOND_STAGE_CHECKS:
+            lhs = (_combination(stage.ctx, first, combo)
+                   + stage.ctx.gen(lead).wedge(second[form]))
+            res = _residual(stage, lhs, kills, ideal)
+            if not res.is_zero():
+                raise RowMismatch(name, res)
+            if form in checked:
+                ideal.append(second[form])
+            checked.add(form)
 
     gens = IdealGenerators("I2", forms, stage.ctx)
     gens.check_independent()
@@ -905,10 +793,6 @@ def build_I2(spec: CurvatureSpec | None = None,
 # --------------------------------------------------------------------------
 # obstruction extraction and the Frobenius check
 # --------------------------------------------------------------------------
-
-def _monomial_name(ctx: CoframedContext, idx: tuple) -> str:
-    return "^".join(ctx.generators[i].name for i in idx)
-
 
 def _residual_entries(name: str, form: Form) -> list:
     ctx = form.ctx
@@ -982,9 +866,8 @@ def stage1_obstructions(spec: CurvatureSpec | None = None) -> list:
     stage = _final_stage(spec, label="Vp-stage1")
     T = tilde_system(stage)
     ideal = list(contact_system(stage.ctx).values()) + list(T.values())
-    ctx = stage.ctx
-    comb = (T["ga12_t"].d().wedge(ctx.gen("om0"))
-            + T["ga02_t"].d().wedge(ctx.gen("th1")))
+    comb = _combination(stage.ctx, T, [("1", "ga12_t", "om0"),
+                                       ("1", "ga02_t", "th1")])
     res = reduce_mod(comb, ideal).normal_form
     return _residual_entries("ga12_t^om0+ga02_t^th1", res)
 
@@ -1091,9 +974,12 @@ def embeddability_verdict(spec: CurvatureSpec) -> EmbeddabilityVerdict:
     Checks every relation forced by the connection reduction, the two final
     scalar conditions, and the Frobenius property of the final ideal with
     the spec substituted.  Relations that stay symbolic under the spec are
-    reported as failing (not proven to vanish).
+    reported as failing (not proven to vanish).  A spec whose own relations
+    contradict its bindings, or whose bindings are cyclic, raises
+    InconsistentSpec.
     """
     b = _saturate(spec.bindings)
+    CurvatureSpec(bindings=b, relations=list(spec.relations)).validate()
     first, full, _ = reduction_consequences()
     checks = dict(first)
     checks.update({s: full[s] for s in IDENTITIES if s in full})

@@ -144,7 +144,6 @@ class QuadExt:
         return f"{a}+{srt}" if b > 0 else f"{a}-{srt}"
 
 
-QUAD_ZERO = QuadExt(0)
 QUAD_ONE = QuadExt(1)
 SQRT7 = QuadExt(0, 1)
 
@@ -248,11 +247,6 @@ class Scalar:
 
     def is_constant(self) -> bool:
         return not self.terms or (len(self.terms) == 1 and _EMPTY in self.terms)
-
-    def constant_value(self) -> QuadExt:
-        if not self.is_constant():
-            raise ValueError(f"not a constant: {self}")
-        return self.terms.get(_EMPTY, QUAD_ZERO)
 
     def symbols(self) -> set:
         return {name for m in self.terms for name, _ in m}
@@ -479,8 +473,10 @@ def _parse_scalar(text: str) -> Scalar:
 class LinearSolution:
     rank: int
     particular: "list[Scalar] | None"
-    nullspace: "list[list[Scalar]]"
+    nullspace: "list[list[Scalar]]"  # one vector per entry of free_cols
     inconsistent: bool
+    pivot_cols: "list[int]"  # in elimination order
+    free_cols: "list[int]"
 
 
 def solve_linear(rows: Sequence[Sequence[Scalar]], rhs: Sequence[Scalar]) -> LinearSolution:
@@ -550,7 +546,8 @@ def solve_linear(rows: Sequence[Sequence[Scalar]], rhs: Sequence[Scalar]) -> Lin
             vec[j] = -a[i][fc]
         nullspace.append(vec)
 
-    return LinearSolution(rank, particular, nullspace, inconsistent)
+    return LinearSolution(rank, particular, nullspace, inconsistent,
+                          [j for _, j in pivots], free_cols)
 
 
 def mat_mul_vec(rows: Sequence[Sequence[Scalar]], vec: Sequence[Scalar]) -> list[Scalar]:

@@ -26,3 +26,28 @@ def test_verdict_of_malformed_spec_exits_2(tmp_path, capsys):
     path.write_text('{"bindings": [1]}')
     assert main(["verdict", str(path)]) == 2
     assert "bindings" in capsys.readouterr().err
+
+
+def _verdict_exit(tmp_path, capsys, spec: dict):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code = main(["verdict", str(path)])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_verdict_of_contradicted_relation_exits_2(tmp_path, capsys):
+    with open(os.path.join(SPECS, "d6.json"), encoding="utf-8") as fh:
+        spec = json.load(fh)
+    spec["relations"] = ["A3 - 12345"]
+    code, out, err = _verdict_exit(tmp_path, capsys, spec)
+    assert (code, out) == (2, "")
+    assert "A3-12345" in err.replace(" ", "")
+
+
+def test_verdict_of_cyclic_bindings_exits_2(tmp_path, capsys):
+    for bindings, named in (({"A3": "A3 + 1"}, "A3"),
+                            ({"A3": "B3", "B3": "A3"}, "A3, B3")):
+        code, out, err = _verdict_exit(tmp_path, capsys, {"bindings": bindings})
+        assert (code, out) == (2, ""), bindings
+        assert f"cyclic curvature bindings: {named}" in err, bindings

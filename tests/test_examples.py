@@ -1,7 +1,9 @@
 import os
 
+import pytest
+
 from eds235.examples import d6_spec, run_examples, write_spec_files
-from eds235.geometry import CurvatureSpec
+from eds235.geometry import CurvatureSpec, InconsistentSpec
 from eds235.pipeline import embeddability_verdict
 from eds235.scalar import Scalar
 
@@ -33,3 +35,12 @@ def test_shifted_d6_is_not_embeddable():
     assert verdict.condition_A41p == Scalar.one()
     assert verdict.condition_A501p.is_zero()
     assert "A4_1p = -5*B4" in verdict.failing
+
+
+def test_verdict_checks_the_spec_relations():
+    spec = d6_spec()
+    assert embeddability_verdict(spec).embeddable
+    contradicted = CurvatureSpec(bindings=dict(spec.bindings),
+                                 relations=[Scalar.parse("A3 - 12345")])
+    with pytest.raises(InconsistentSpec, match="A3"):
+        embeddability_verdict(contradicted)

@@ -51,23 +51,112 @@ def test_final_conditions_zero_their_rows():
         assert Scalar.parse(coeff).substitute(condition).is_zero(), sym
 
 
-def test_row_mismatch_names_the_corrupted_row(monkeypatch):
-    checks = pipeline._table3_checks
+# The bindings each cascade row used to state by hand, with the direction
+# it absorbs.  The derived rows may bind another coordinate of the same
+# relation, so each old binding must hold under the derived values.
+TRANSCRIBED_CASCADE = [
+    ("V5", {"p11_22": "4*p12_12", "p13_12p": "0"}, None),
+    ("V6", {"p22_11": "p12_12"}, "gam2"),
+    ("row1", {"p13p_22": "0", "p13_10": "3/2*p12_11",
+              "p13p_20": "2*p13_12-7*p23_11"}, None),
+    ("row2", {"p11_12": "2*p12_11"}, "gam1"),
+    ("row3", {"p13p_00": "0"}, None),
+    ("row4", {"p13_12": "-1/2*A3"}, None),
+    ("row5", {"p23_11": "-2/7*A3"}, None),
+    ("row6", {"p13p_12": "0"}, None),
+    ("row7", {"p23p_11": "-2/7*B3"}, None),
+    ("row8a", {}, None),
+    ("row8b", {"p13_11": "-5/21*A4", "p13p_10": "2/7*A4"}, None),
+    ("row9", {"p13p_11": "2/21*B4"}, None),
+    ("row10", {"p12_12": "0"}, "et_11"),
+    ("row11", {"p12_11": "0"}, "et_12"),
+    ("row12", {"p11_11": "0"}, "et_22"),
+]
 
-    def corrupted():
-        out = []
-        for name, build in checks():
-            if name == "t3_2a":
-                def build(st, T, inner=build):
-                    lhs, rhs, kills = inner(st, T)
-                    extra = st.ctx.gen("om1p").wedge(st.ctx.gen("om2p"))
-                    return lhs, rhs + extra, kills
-            out.append((name, build))
+
+def test_derived_cascade_satisfies_the_transcribed_bindings():
+    steps = pipeline.table_reductions().steps
+    assert [(s.name, s.coframe) for s in steps] == [
+        (name, coframe) for name, _, coframe in TRANSCRIBED_CASCADE]
+    values: dict = {}
+    old: dict = {}
+
+    def bind(current, new):
+        out = {k: v.substitute(new) for k, v in current.items()}
+        out.update(new)
         return out
 
-    monkeypatch.setattr(pipeline, "_table3_checks", corrupted)
+    for step, (name, bindings, _) in zip(steps, TRANSCRIBED_CASCADE):
+        values = bind(values, step.bindings)
+        old = bind(old, {k: Scalar.parse(v) for k, v in bindings.items()})
+        for sym, value in old.items():
+            gap = (Scalar.symbol(sym) - value).substitute(values)
+            assert gap.is_zero(), (name, sym, str(gap))
+    assert values == old == pipeline.final_p_values()
+    assert list(pipeline.final_p_values()) == pipeline.P_SYMBOLS
+
+
+def test_reduction_rows_are_the_corrections_at_the_final_values():
+    values = pipeline.final_p_values()
+    for base in ("ga12", "ga02", "ga"):
+        row: dict = {}
+        for coeff, p, gen in pipeline.TILDE_CORRECTIONS[base]:
+            c = Scalar.parse(coeff) * (values[p] if p else Scalar.one())
+            row[gen] = row.get(gen, Scalar.zero()) + c
+        expected = {g: Scalar.parse(v)
+                    for g, v in pipeline.REDUCTION_ROWS[base].items()}
+        assert {g: c for g, c in row.items() if not c.is_zero()} == expected
+
+
+@pytest.fixture
+def fresh_cascade():
+    """Rerun the cascade inside the test and again after it."""
+    caches = (pipeline._initial_stage, pipeline.table_reductions)
+    for cached in caches:
+        cached.cache_clear()
+    yield
+    for cached in caches:
+        cached.cache_clear()
+
+
+def _corrupt_tilde(monkeypatch, base, entry):
+    corrections = pipeline.TILDE_CORRECTIONS
+    monkeypatch.setitem(corrections, base, corrections[base] + [entry])
+
+
+def test_non_affine_torsion_names_its_row(monkeypatch, fresh_cascade):
+    _corrupt_tilde(monkeypatch, "et3_3p", ("1", "p12_12", "om0"))
+    with pytest.raises(RowMismatch) as info:
+        pipeline.table_reductions()
+    assert info.value.row == "V5"
+
+
+def test_torsion_free_remainder_names_its_row(monkeypatch, fresh_cascade):
+    _corrupt_tilde(monkeypatch, "et2_2", ("1", None, "om0"))
+    with pytest.raises(RowMismatch) as info:
+        pipeline.table_reductions()
+    assert info.value.row == "row8a"
+
+
+def test_wrong_binding_names_its_row(monkeypatch, fresh_cascade):
+    forced = pipeline._forced_bindings
+
+    def wrong(stage, name, residual):
+        if name == "V6":
+            return {"p22_11": Scalar.parse("2*p12_12")}
+        return forced(stage, name, residual)
+
+    monkeypatch.setattr(pipeline, "_forced_bindings", wrong)
+    with pytest.raises(RowMismatch) as info:
+        pipeline.table_reductions()
+    assert info.value.row == "V6"
+
+
+def test_row_mismatch_names_the_corrupted_row(monkeypatch):
+    tails = pipeline.SECOND_STAGE_TAILS
+    monkeypatch.setitem(tails, "et_11", {**tails["et_11"], "om2p": "1"})
     with pytest.raises(RowMismatch) as info:
         build_I2(check_tables=True)
     assert info.value.row == "t3_2a"
     ctx = info.value.residual.ctx
-    assert (info.value.residual + ctx.gen("om1p").wedge(ctx.gen("om2p"))).is_zero()
+    assert info.value.residual == ctx.gen("th1").wedge(ctx.gen("om2p"))
