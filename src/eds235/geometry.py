@@ -485,6 +485,14 @@ class CurvatureSpec:
 
     @staticmethod
     def from_json(text: str) -> "CurvatureSpec":
+        """Read a spec: an object with ``bindings`` (curvature symbol to
+        scalar text or number) and ``relations`` (a list of scalar texts).
+
+        Each distinct binding value text is parsed once per call, and the
+        bindings that share it share one Scalar.  A malformed spec, an
+        unknown symbol, a JSON boolean or a value that does not parse
+        raises InconsistentSpec naming the first binding that carries it.
+        """
         payload = json.loads(text)
         if not isinstance(payload, dict):
             raise InconsistentSpec("spec must be a JSON object")
@@ -498,12 +506,21 @@ class CurvatureSpec:
             raise InconsistentSpec("spec relations must be a list of strings")
         bases, slot_names = set(CURVATURE_SYMBOLS), set(SLOTS)
         bindings = {}
+        parsed: dict = {}  # value text -> Scalar; Scalars are never mutated
         for name, value in raw_bindings.items():
             base, *slots = name.split("_")
             if base not in bases or not slot_names.issuperset(slots):
                 raise InconsistentSpec(f"unknown curvature symbol {name!r} in bindings")
+            if isinstance(value, bool):
+                raise InconsistentSpec(
+                    f"bad value for binding {name!r}: {json.dumps(value)} is not a number")
             try:
-                bindings[name] = Scalar.of(value)
+                if isinstance(value, str):
+                    if value not in parsed:
+                        parsed[value] = Scalar.parse(value)
+                    bindings[name] = parsed[value]
+                else:
+                    bindings[name] = Scalar.of(value)
             except (ValueError, TypeError, ZeroDivisionError) as exc:
                 raise InconsistentSpec(f"bad value for binding {name!r}: {exc}") from exc
         relations = []

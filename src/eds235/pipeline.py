@@ -65,13 +65,15 @@ def _saturate(bindings: Mapping[str, Scalar]) -> dict:
 
     Bindings that never get there form a cycle (``A3 -> A3 + 1``, or
     ``A3 -> B3 -> A3``); they raise InconsistentSpec naming their symbols.
+    Constant values never change, so only the symbolic ones are visited.
     """
     b = dict(bindings)
-    for _ in range(len(b) + 1):
-        cyclic = sorted(k for k, v in b.items() if v.symbols() & b.keys())
+    symbolic = [k for k, v in b.items() if not v.is_constant()]
+    for _ in range(len(symbolic) + 1):
+        cyclic = sorted(k for k in symbolic if b[k].symbols() & b.keys())
         if not cyclic:
             return b
-        b = {k: v.substitute(b) for k, v in b.items()}
+        b.update({k: b[k].substitute(b) for k in symbolic})
     raise InconsistentSpec(f"cyclic curvature bindings: {', '.join(cyclic)}")
 
 
@@ -633,6 +635,10 @@ def reduction_consequences() -> tuple[dict, dict, list]:
     rels = _relation_scan(ctx, residuals)
     ruled = set(ctx.rules.d_of_symbol)
     work = sorted(rels, key=_derivative_order)
+    # A relation already in work reduces to 0 again, and an elimination
+    # differentiated once gives the same derivatives: skip both.
+    seen = set(work)
+    differentiated: set = set()
     elim_full: dict = {}
     stuck: list = []
     for _ in range(8):
@@ -640,14 +646,15 @@ def reduction_consequences() -> tuple[dict, dict, list]:
         if elim == elim_full:
             break
         elim_full = elim
-        new = []
         for k, v in elim.items():
             r = Scalar.symbol(k) - v
-            if set(r.symbols()) <= ruled:
-                for _, c in ctx.d_scalar(r).terms.items():
-                    if not c.is_zero():
-                        new.append(c)
-        work = work + new
+            if (k, v) in differentiated or not set(r.symbols()) <= ruled:
+                continue
+            differentiated.add((k, v))
+            for _, c in ctx.d_scalar(r).terms.items():
+                if not c.is_zero() and c not in seen:
+                    seen.add(c)
+                    work.append(c)
     else:
         raise Inconsistent("consequence closure did not stabilize")
     elim_first = {
@@ -968,6 +975,27 @@ class EmbeddabilityVerdict:
         }
 
 
+@lru_cache(maxsize=1)
+def _verdict_checks() -> tuple:
+    """The verdict's checks, parsed once: (reduction, conditions, frobenius).
+
+    reduction holds (symbol - value, failing text) for every first-order
+    consequence and identity, sorted by symbol; conditions the same for the
+    two FINAL_CONDITIONS; frobenius the coefficients of the generic
+    Frobenius residuals.  Built on the first verdict, not at import.
+    """
+    first, full, _ = reduction_consequences()
+    checks = dict(first)
+    checks.update({s: full[s] for s in IDENTITIES if s in full})
+    reduction = tuple((Scalar.symbol(s) - v, f"{s} = {v}")
+                      for s, v in sorted(checks.items()))
+    conditions = tuple((Scalar.symbol(s) - Scalar.parse(v), f"{s} = {v}")
+                       for s, v in FINAL_CONDITIONS.items())
+    frobenius = tuple(Scalar.parse(c)
+                      for _, _, c in generic_frobenius_residuals())
+    return reduction, conditions, frobenius
+
+
 def embeddability_verdict(spec: CurvatureSpec) -> EmbeddabilityVerdict:
     """Evaluate the full embeddability criterion under a curvature spec.
 
@@ -977,26 +1005,24 @@ def embeddability_verdict(spec: CurvatureSpec) -> EmbeddabilityVerdict:
     reported as failing (not proven to vanish).  A spec whose own relations
     contradict its bindings, or whose bindings are cyclic, raises
     InconsistentSpec.
+
+    The checks are derived and parsed once per process, on the first
+    verdict (``_verdict_checks``); each verdict only substitutes the
+    saturated bindings into them.
     """
     b = _saturate(spec.bindings)
     CurvatureSpec(bindings=b, relations=list(spec.relations)).validate()
-    first, full, _ = reduction_consequences()
-    checks = dict(first)
-    checks.update({s: full[s] for s in IDENTITIES if s in full})
+    reduction, conditions, frobenius_coeffs = _verdict_checks()
     failing = []
     reduction_ok = True
-    for sym, value in sorted(checks.items()):
-        residual = (Scalar.symbol(sym) - value).substitute(b)
-        if not residual.is_zero():
+    for relation, text in reduction:
+        if not relation.substitute(b).is_zero():
             reduction_ok = False
-            failing.append(f"{sym} = {value}")
-    cond1, cond2 = conditions = [
-        (Scalar.symbol(s) - Scalar.parse(v)).substitute(b)
-        for s, v in FINAL_CONDITIONS.items()
-    ]
-    for (s, v), cond in zip(FINAL_CONDITIONS.items(), conditions):
-        if not cond.is_zero():
-            failing.append(f"{s} = {v}")
+            failing.append(text)
+    cond1, cond2 = values = [c.substitute(b) for c, _ in conditions]
+    for (_, text), value in zip(conditions, values):
+        if not value.is_zero():
+            failing.append(text)
     # Frobenius: every residual coefficient of the generic final ideal is a
     # function of the curvature symbols; the ideal restricted to the locus
     # the spec describes is integrable exactly when they all vanish there.
@@ -1011,8 +1037,8 @@ def embeddability_verdict(spec: CurvatureSpec) -> EmbeddabilityVerdict:
             failing.append(f"{s} = {v} contradicts {s} = 0")
             break
     if frob:
-        for _, _, coeff in generic_frobenius_residuals():
-            if not Scalar.parse(coeff).substitute(b).is_zero():
+        for coeff in frobenius_coeffs:
+            if not coeff.substitute(b).is_zero():
                 frob = False
                 failing.append("final ideal is not Frobenius under the spec")
                 break

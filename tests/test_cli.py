@@ -23,9 +23,11 @@ def test_verdict_of_d6_is_embeddable(capsys):
 
 def test_verdict_of_malformed_spec_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.json"
-    path.write_text('{"bindings": [1]}')
-    assert main(["verdict", str(path)]) == 2
-    assert "bindings" in capsys.readouterr().err
+    for text, named in (('{"bindings": [1]}', "bindings"),
+                        ('{"bindings": {"A3": true}}', "'A3'")):
+        path.write_text(text)
+        assert main(["verdict", str(path)]) == 2, text
+        assert named in capsys.readouterr().err, text
 
 
 def _verdict_exit(tmp_path, capsys, spec: dict):

@@ -1,13 +1,23 @@
+import json
 import os
 
 import pytest
 
 from eds235.examples import d6_spec, run_examples, write_spec_files
 from eds235.geometry import CurvatureSpec, InconsistentSpec
-from eds235.pipeline import embeddability_verdict
+from eds235.pipeline import FINAL_CONDITIONS, IDENTITIES, embeddability_verdict
 from eds235.scalar import Scalar
 
 SPECS = os.path.join(os.path.dirname(os.path.dirname(__file__)), "specs")
+
+
+def _spec_text(model: str) -> str:
+    with open(os.path.join(SPECS, model + ".json"), encoding="utf-8") as fh:
+        return fh.read()
+
+
+def _verdict_of(text: str):
+    return embeddability_verdict(CurvatureSpec.from_json(text))
 
 
 def test_both_suites_pass():
@@ -44,3 +54,49 @@ def test_verdict_checks_the_spec_relations():
                                  relations=[Scalar.parse("A3 - 12345")])
     with pytest.raises(InconsistentSpec, match="A3"):
         embeddability_verdict(contradicted)
+
+
+@pytest.mark.parametrize("model, distinct", [("flat", 1), ("d6", 31)])
+def test_warm_verdict_parses_each_value_text_once(monkeypatch, model, distinct):
+    embeddability_verdict(d6_spec())  # builds the verdict's checks
+    parse, calls = Scalar.parse, []
+
+    def counting(text):
+        calls.append(text)
+        return parse(text)
+
+    monkeypatch.setattr(Scalar, "parse", staticmethod(counting))
+    assert _verdict_of(_spec_text(model)).embeddable
+    assert len(calls) == len(set(calls)) == distinct
+
+
+def test_verdicts_do_not_corrupt_shared_values():
+    d6 = _spec_text("d6")
+    first = json.dumps(_verdict_of(d6).to_payload())
+    assert _verdict_of(_spec_text("flat")).embeddable
+    shifted = json.loads(d6)
+    shifted["bindings"]["A4_1p"] = f"({shifted['bindings']['A4_1p']}) + 1"
+    assert not _verdict_of(json.dumps(shifted)).embeddable
+    assert json.dumps(_verdict_of(d6).to_payload()) == first
+
+
+# Every condition the verdict checks by name, with each symbol it mentions.
+CONDITION_SYMBOLS = [
+    (f"{s} = {v}", sym)
+    for s, v in {**FINAL_CONDITIONS, **IDENTITIES}.items()
+    for sym in sorted({s} | Scalar.parse(v).symbols())
+]
+
+
+@pytest.mark.parametrize("change", ["shift", "drop"])
+@pytest.mark.parametrize("condition, symbol", CONDITION_SYMBOLS)
+@pytest.mark.parametrize("model", ["flat", "d6"])
+def test_breaking_a_condition_names_it(model, condition, symbol, change):
+    bindings = json.loads(_spec_text(model))["bindings"]
+    if change == "shift":
+        bindings[symbol] = f"({bindings[symbol]}) + 2/3 - sqrt7"
+    else:
+        del bindings[symbol]
+    verdict = _verdict_of(json.dumps({"bindings": bindings}))
+    assert not verdict.embeddable
+    assert condition in verdict.failing

@@ -285,7 +285,7 @@ class TestCurvatureSpec:
         with pytest.raises(InconsistentSpec, match=name):
             CurvatureSpec.from_json('{"bindings": {"%s": 1}}' % name)
 
-    @pytest.mark.parametrize("value", ["1/B4", "1/0", "2*(", [1]])
+    @pytest.mark.parametrize("value", ["1/B4", "1/0", "2*(", [1], True, False])
     def test_bad_binding_value_names_the_binding(self, value):
         text = json.dumps({"bindings": {"A3": 1, "C2": value}})
         with pytest.raises(InconsistentSpec, match="'C2'"):
