@@ -294,7 +294,8 @@ def _pivot_key(sym: str) -> tuple:
     return (len(slots), 0 if keep else 1, CURVATURE_SYMBOLS.index(base), slots)
 
 
-def reduce_relations(relations: Sequence[Scalar]) -> tuple[list, dict, list]:
+def reduce_relations(relations: Sequence[Scalar],
+                     elim: Mapping[str, Scalar] | None = None) -> tuple[list, dict, list]:
     """Gaussian-reduce relations among curvature symbols.
 
     Relations are taken in the given order, each with the eliminations
@@ -310,9 +311,14 @@ def reduce_relations(relations: Sequence[Scalar]) -> tuple[list, dict, list]:
     Returns (basis, elim, stuck): the pivot relations as they stood when
     used, the elimination map (no value mentions an eliminated symbol), and
     the nonzero relations left without a constant pivot, fully reduced.
+
+    ``elim`` resumes a reduction: an elimination map returned earlier, whose
+    pivots the new relations are reduced against and whose values get each
+    new pivot substituted.  The map passed in is not changed; the returned
+    map starts with its keys, and the basis lists only the new pivots.
     """
     basis: list[Scalar] = []
-    elim: dict[str, Scalar] = {}
+    elim = dict(elim) if elim else {}
     stuck: list[Scalar] = list(relations)
     progress = True
     while progress:

@@ -622,30 +622,33 @@ def _derivative_order(rel: Scalar) -> int:
 def reduction_consequences() -> tuple[dict, dict, list]:
     """Curvature relations implied by the reduced connection.
 
-    The closure relations are prolonged once (every relation whose symbols
-    all carry derivative rules is differentiated on the reduced context)
-    and then Gaussian-reduced.  Returns (first_order, full, nonpivot):
-    first_order is the base-function part of the elimination map — ten
-    vanishing curvatures plus E = 9/14*A3^2, Dt3 = -2/3*D2 and
-    Et2 = 9/14*A3^2; full adds the derivative identities (in particular
-    A3_0 = 6*C2 and B3_1p = -3*C3).  Relations that stay nonlinear are
-    listed in nonpivot.
+    The closure relations are Gaussian-reduced, then prolonged until
+    nothing new appears: every elimination whose symbols all carry
+    derivative rules is differentiated on the reduced context, and each
+    pass hands ``reduce_relations`` only the relations it added (with any
+    still stuck), resuming from the previous pass's elimination map.
+    Returns (first_order, full, nonpivot): first_order is the base-function
+    part of the elimination map — ten vanishing curvatures plus
+    E = 9/14*A3^2, Dt3 = -2/3*D2 and Et2 = 9/14*A3^2; full adds the
+    derivative identities (in particular A3_0 = 6*C2 and B3_1p = -3*C3).
+    Relations that stay nonlinear are listed in nonpivot.
     """
     ctx, residuals = reduction_context()
     rels = _relation_scan(ctx, residuals)
     ruled = set(ctx.rules.d_of_symbol)
-    work = sorted(rels, key=_derivative_order)
-    # A relation already in work reduces to 0 again, and an elimination
+    new = sorted(rels, key=_derivative_order)
+    # A relation seen before reduces to 0 again, and an elimination
     # differentiated once gives the same derivatives: skip both.
-    seen = set(work)
+    seen = set(new)
     differentiated: set = set()
     elim_full: dict = {}
     stuck: list = []
     for _ in range(8):
-        _, elim, stuck = reduce_relations(work)
+        _, elim, stuck = reduce_relations(stuck + new, elim_full)
         if elim == elim_full:
             break
         elim_full = elim
+        new = []
         for k, v in elim.items():
             r = Scalar.symbol(k) - v
             if (k, v) in differentiated or not set(r.symbols()) <= ruled:
@@ -654,7 +657,7 @@ def reduction_consequences() -> tuple[dict, dict, list]:
             for _, c in ctx.d_scalar(r).terms.items():
                 if not c.is_zero() and c not in seen:
                     seen.add(c)
-                    work.append(c)
+                    new.append(c)
     else:
         raise Inconsistent("consequence closure did not stabilize")
     elim_first = {

@@ -484,35 +484,42 @@ def solve_linear(rows: Sequence[Sequence[Scalar]], rhs: Sequence[Scalar]) -> Lin
 
     Gaussian elimination whose pivot is the first nonzero constant entry, in
     row-major order, of the rows and columns not used yet.  When only
-    non-constant entries are left, the next pivot is one of them and its
-    ``inverse`` raises NonConstantDivision.  Inconsistency is a reported
-    flag, not an exception, so callers can treat 'no solution' as a
-    computed outcome.
+    non-constant entries are left, the next pivot is the first nonzero one
+    and its ``inverse`` raises NonConstantDivision.  Each row keeps the
+    sorted list of its nonzero columns, recomputed only when an elimination
+    step changes the row, so the pivot search walks nonzero entries instead
+    of rescanning the whole matrix.  Inconsistency is a reported flag, not
+    an exception, so callers can treat 'no solution' as a computed outcome.
     """
     m = len(rows)
+    if len(rhs) != m:
+        raise ValueError(f"linear system has {m} rows but {len(rhs)} right-hand sides")
     n = len(rows[0]) if m else 0
     a = [list(r) + [rhs[i]] for i, r in enumerate(rows)]
     for r in a:
         if len(r) != n + 1:
             raise ValueError("ragged linear system")
+    nonzero = [[j for j in range(n) if not r[j].is_zero()] for r in a]
 
     pivots: list[tuple[int, int]] = []  # (row, col) in elimination order
     used_rows: set = set()
     used_cols: set = set()
     for _ in range(min(m, n)):
-        best = None
-        best_w = None
+        best = first = None
         for i in range(m):
             if i in used_rows:
                 continue
-            for j in range(n):
+            for j in nonzero[i]:
                 if j in used_cols:
                     continue
-                if a[i][j].is_zero():
-                    continue
-                w = (not a[i][j].is_constant(), i, j)
-                if best_w is None or w < best_w:
-                    best, best_w = (i, j), w
+                if a[i][j].is_constant():
+                    best = (i, j)
+                    break
+                if first is None:
+                    first = (i, j)
+            if best is not None:
+                break
+        best = best or first
         if best is None:
             break
         pi, pj = best
@@ -525,6 +532,7 @@ def solve_linear(rows: Sequence[Sequence[Scalar]], rhs: Sequence[Scalar]) -> Lin
             if i != pi and not a[i][pj].is_zero():
                 f = a[i][pj]
                 a[i] = [a[i][k] - f * a[pi][k] for k in range(n + 1)]
+                nonzero[i] = [j for j in range(n) if not a[i][j].is_zero()]
 
     rank = len(pivots)
     inconsistent = any(

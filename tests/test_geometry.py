@@ -334,6 +334,23 @@ class TestReduceRelations:
         _, elim, _ = reduce_relations([S("A3_0 + A4_0 - C3")])
         assert elim == {"A4_0": S("C3 - A3_0")}
 
+    def test_resumed_map_gets_the_new_pivot_substituted(self):
+        start = {"A1": S("B1 + C1")}
+        basis, elim, stuck = reduce_relations([S("B1 - 2")], start)
+        assert list(elim.items()) == [("A1", S("2 + C1")), ("B1", S("2"))]
+        assert basis == [S("B1 - 2")]
+        assert stuck == []
+        assert start == {"A1": S("B1 + C1")}
+
+    def test_resuming_equals_reducing_from_empty(self):
+        first = [S("A1 - B1 - C1"), S("C2 - A3"), S("A4_0 + A3_0 - A1")]
+        later = [S("B1 - 2*C2"), S("C1 + A4_0"), S("A1 - B1 - C1")]
+        _, elim, _ = reduce_relations(first)
+        _, resumed, stuck = reduce_relations(later, elim)
+        _, whole, _ = reduce_relations(first + later)
+        assert list(resumed.items()) == list(whole.items())
+        assert stuck == []
+
 
 # --- the rank-one reduced homogeneous example -------------------------------
 

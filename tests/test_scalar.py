@@ -258,3 +258,95 @@ def test_rank_of():
     one, two = Scalar.one(), Scalar.rational(2)
     assert rank_of([[one, two], [two, two * two]]) == 1
     assert rank_of([[one, Scalar.zero()], [Scalar.zero(), one]]) == 2
+
+
+def test_solve_linear_rhs_length_must_match_rows():
+    one = Scalar.one()
+    with pytest.raises(ValueError, match=r"1 rows but 2 right-hand sides"):
+        solve_linear([[one]], [one, Scalar.rational(5)])
+    with pytest.raises(ValueError, match=r"2 rows but 1 right-hand sides"):
+        solve_linear([[one], [one]], [one])
+
+
+def _rescanning_solve_linear(rows, rhs):
+    """Reference: the elimination that rescans every entry for each pivot.
+
+    The pivot is the min of (not constant, row, col) over the nonzero
+    entries of the unused rows and columns.
+    """
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    a = [list(r) + [rhs[i]] for i, r in enumerate(rows)]
+    pivots, used_rows, used_cols = [], set(), set()
+    for _ in range(min(m, n)):
+        best = best_w = None
+        for i in range(m):
+            if i in used_rows:
+                continue
+            for j in range(n):
+                if j in used_cols or a[i][j].is_zero():
+                    continue
+                w = (not a[i][j].is_constant(), i, j)
+                if best_w is None or w < best_w:
+                    best, best_w = (i, j), w
+        if best is None:
+            break
+        pi, pj = best
+        used_rows.add(pi)
+        used_cols.add(pj)
+        pivots.append((pi, pj))
+        inv = a[pi][pj].inverse()
+        a[pi] = [x * inv for x in a[pi]]
+        for i in range(m):
+            if i != pi and not a[i][pj].is_zero():
+                f = a[i][pj]
+                a[i] = [a[i][k] - f * a[pi][k] for k in range(n + 1)]
+    inconsistent = any(i not in used_rows and not a[i][n].is_zero() for i in range(m))
+    particular = None
+    if not inconsistent:
+        particular = [Scalar.zero()] * n
+        for i, j in pivots:
+            particular[j] = a[i][n]
+    free_cols = [j for j in range(n) if j not in used_cols]
+    nullspace = []
+    for fc in free_cols:
+        vec = [Scalar.zero()] * n
+        vec[fc] = Scalar.one()
+        for i, j in pivots:
+            vec[j] = -a[i][fc]
+        nullspace.append(vec)
+    return LinearSolution(len(pivots), particular, nullspace, inconsistent,
+                          [j for _, j in pivots], free_cols)
+
+
+def _sparse_entry(rng):
+    kind = rng.random()
+    if kind < 0.55:
+        return Scalar.zero()
+    if kind < 0.75:
+        return Scalar.rational(rng.randint(-3, 3), rng.randint(1, 3))
+    if kind < 0.88:
+        return Scalar.from_quad(QuadExt.of(rng.randint(-2, 2), rng.randint(-2, 2)))
+    return Scalar.symbol(rng.choice(["A3", "B4"])) * Scalar.rational(rng.randint(1, 2))
+
+
+def test_solve_linear_pivots_match_the_rescanning_reference():
+    import random
+
+    rng = random.Random(8)
+    outcomes = {"solved": 0, "raised": 0}
+    for _ in range(300):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        a = [[_sparse_entry(rng) for _ in range(n)] for _ in range(m)]
+        b = [_sparse_entry(rng) for _ in range(m)]
+        try:
+            want = _rescanning_solve_linear(a, b)
+        except NonConstantDivision:
+            with pytest.raises(NonConstantDivision):
+                solve_linear(a, b)
+            outcomes["raised"] += 1
+            continue
+        assert solve_linear(a, b) == want
+        outcomes["solved"] += 1
+    # both branches of the pivot rule are exercised
+    assert min(outcomes.values()) >= 30, outcomes
