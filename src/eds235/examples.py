@@ -256,8 +256,8 @@ def d6_model_suite() -> ExampleReport:
     lam = spec.bindings
     rows_ok = True
     detail = []
-    for gen, row in pipeline.THEOREM_ROWS.items():
-        vals = {g: Scalar.parse(v).substitute(lam) for g, v in row.items()}
+    for gen, row in pipeline.theorem_rows().items():
+        vals = {g: v.substitute(lam) for g, v in row.items()}
         got = {g: str(v) for g, v in vals.items() if not v.is_zero()}
         want = {g: str(Scalar.parse(c))
                 for g, c in D6_COFRAME_ROWS[gen].items() if g != "ze2"}
@@ -272,7 +272,7 @@ def d6_model_suite() -> ExampleReport:
     ctx = build_M_context(CurvatureSpec(
         {s: lam.get(s, Scalar.zero()) for s in CURVATURE_SYMBOLS}))
     replacements = {
-        name: pipeline.row_form(ctx, row) for name, row in D6_COFRAME_ROWS.items()
+        name: ctx.form(row) for name, row in D6_COFRAME_ROWS.items()
     }
     reduced, _ = eliminate(ctx, replacements, label="D6")
     closure = reduced.check_context()

@@ -484,6 +484,15 @@ def reconstruct_derivatives(
 # curvature specs and public context builders
 # --------------------------------------------------------------------------
 
+_BASES, _SLOT_NAMES = frozenset(CURVATURE_SYMBOLS), frozenset(SLOTS)
+
+
+def _is_curvature_symbol(name: str) -> bool:
+    """A base of CURVATURE_SYMBOLS followed by derivative slots of SLOTS."""
+    base, *slots = name.split("_")
+    return base in _BASES and _SLOT_NAMES.issuperset(slots)
+
+
 @dataclass
 class CurvatureSpec:
     bindings: dict = field(default_factory=dict)
@@ -492,16 +501,21 @@ class CurvatureSpec:
     @staticmethod
     def from_json(text: str) -> "CurvatureSpec":
         """Read a spec: an object with ``bindings`` (curvature symbol to
-        scalar text or number) and ``relations`` (a list of scalar texts).
+        scalar text or number) and ``relations`` (a list of scalar texts),
+        and no other key.
 
         Each distinct binding value text is parsed once per call, and the
         bindings that share it share one Scalar.  A malformed spec, an
-        unknown symbol, a JSON boolean or a value that does not parse
-        raises InconsistentSpec naming the first binding that carries it.
+        unknown key, an unknown symbol, a JSON boolean or a value that does
+        not parse raises InconsistentSpec naming the first key, binding or
+        relation that carries it.
         """
         payload = json.loads(text)
         if not isinstance(payload, dict):
             raise InconsistentSpec("spec must be a JSON object")
+        unknown = sorted(set(payload) - {"bindings", "relations"})
+        if unknown:
+            raise InconsistentSpec(f"unknown spec key {unknown[0]!r}")
         raw_bindings = payload.get("bindings", {})
         if not isinstance(raw_bindings, dict):
             raise InconsistentSpec("spec bindings must be a JSON object")
@@ -510,12 +524,10 @@ class CurvatureSpec:
             isinstance(r, str) for r in raw_relations
         ):
             raise InconsistentSpec("spec relations must be a list of strings")
-        bases, slot_names = set(CURVATURE_SYMBOLS), set(SLOTS)
         bindings = {}
         parsed: dict = {}  # value text -> Scalar; Scalars are never mutated
         for name, value in raw_bindings.items():
-            base, *slots = name.split("_")
-            if base not in bases or not slot_names.issuperset(slots):
+            if not _is_curvature_symbol(name):
                 raise InconsistentSpec(f"unknown curvature symbol {name!r} in bindings")
             if isinstance(value, bool):
                 raise InconsistentSpec(
@@ -532,9 +544,14 @@ class CurvatureSpec:
         relations = []
         for text in raw_relations:
             try:
-                relations.append(Scalar.parse(text))
+                rel = Scalar.parse(text)
             except (ValueError, ZeroDivisionError) as exc:
                 raise InconsistentSpec(f"bad relation {text!r}: {exc}") from exc
+            unknown = sorted(s for s in rel.symbols() if not _is_curvature_symbol(s))
+            if unknown:
+                raise InconsistentSpec(
+                    f"bad relation {text!r}: unknown curvature symbol {unknown[0]!r}")
+            relations.append(rel)
         return CurvatureSpec(bindings, relations)
 
     def validate(self):

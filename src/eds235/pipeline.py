@@ -2,14 +2,19 @@
 
 The embedding system on the 35-dimensional product locus is prolonged by 18
 fibre coordinates (the entries of a symmetric-tensor family parameterizing
-the prolongation space).  A staged cascade of exterior-derivative
-computations binds all 18 coordinates to curvature expressions and absorbs
-five coframe freedoms: each row's residual torsion is solved for the
-coordinates it forces, and what is left must lie on the direction the row
-absorbs.  The surviving ideal has 26 generators; its Frobenius obstructions
-split into consequences of the connection reduction plus exactly two scalar
-conditions on curvature derivatives.  Everything is exact, and a row that
-does not come out aborts with its name and the residual that is left.
+the prolongation space).  The contact and prolongation forms span the
+prolonged ideal; solving that span for its pivots gives the 14 corrected
+connection forms.  A staged cascade of exterior-derivative computations on
+them binds all 18 coordinates to curvature expressions and absorbs five
+coframe freedoms: each row's residual torsion is solved for the coordinates
+it forces, and what is left must lie on the direction the row absorbs.  The
+tails of the five second-stage forms are read off their congruences.  The
+surviving ideal has 26 generators; those of its connection forms that live
+on the base give the reduction rows.  Its Frobenius obstructions split into
+consequences of the connection reduction, two scalar conditions on
+curvature derivatives, and three rows left unresolved.  Everything is
+exact, and a row that does not come out aborts with its name and the
+residual that is left.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Mapping, Sequence
 
-from .exterior import CoframedContext, Form, extend, reduce_mod, reindex
+from .exterior import CoframedContext, Form, eliminate, extend, reduce_mod, reindex
 from .geometry import (
     AB_KEYS,
     CURVATURE_SYMBOLS,
@@ -31,7 +36,8 @@ from .geometry import (
     reduce_relations,
     split_symbol,
 )
-from .jet import H_COLUMNS, ROW_KEYS, h_name, pi_name, stage_context
+from .jet import (H_COLUMNS, ROW_KEYS, STAGE_BINDINGS, V1_BINDINGS, h_name,
+                  pi_name, stage_context)
 from .liemodel import mc_rules, sp6_model
 from .scalar import Scalar, rank_of, solve_linear
 
@@ -189,27 +195,20 @@ def _coeff_row(f: Form) -> list:
     return row
 
 
-def _span_rank(forms: Sequence[Form]) -> int:
-    return rank_of([_coeff_row(f) for f in forms])
+def _contact_target(k: str) -> str:
+    return ("vt" if k in AB_KEYS else "vpi") + k
 
 
-def contact_system(ctx: CoframedContext,
-                   bindings: Mapping[str, Scalar] = ()) -> dict:
+def contact_system(ctx: CoframedContext) -> dict:
     """The seven contact forms at the normal-form jet fibre point."""
-    from .jet import V1_BINDINGS, STAGE_BINDINGS
-
     h = {k: Scalar.parse(v) for k, v in V1_BINDINGS.items()}
     for stage in STAGE_BINDINGS.values():
         h.update({k: Scalar.parse(v) for k, v in stage.items()})
-    b = dict(bindings) if bindings else {}
     out = {}
     for k in ROW_KEYS:
-        target = ("vt" if k in AB_KEYS else "vpi") + k
-        f = ctx.gen(target)
+        f = ctx.gen(_contact_target(k))
         for s in H_COLUMNS[k]:
             c = h[h_name(k, s)]
-            if b:
-                c = c.substitute(b)
             if not c.is_zero():
                 f = f - ctx.gen(SB_OF_SLOT[s]).scale(c)
         out["Th" + k] = f
@@ -261,98 +260,25 @@ THETA_TAILS = {
     ],
 }
 
-# Corrections subtracted from connection generators so that the corrected
-# forms lie in the prolonged ideal.  Same entry convention as THETA_TAILS.
-TILDE_CORRECTIONS = {
-    "ga12": [("3", "p12_12", "th1"), ("-3", "p22_11", "th1")],
-    "ga02": [
-        ("1", "p13_12", "th1"), ("-2", "p23_11", "th1"),
-        ("3", "p12_12", "om0"), ("-3", "p22_11", "om0"),
-        ("-2", "p13_12p", "om1p"),
-    ],
-    "ga": [
-        ("-1", "p13p_12", "th1"), ("2", "p23p_11", "th1"),
-        ("-1", "p13p_22", "th2"), ("4", "p13_12", "om0"),
-        ("-1", "p13p_20", "om0"), ("-8", "p23_11", "om0"),
-        ("-3/2", "p11_12", "om1p"), ("6", "p12_11", "om1p"),
-        ("-2", "p13_10", "om1p"), ("-3/2", "p11_22", "om2p"),
-        ("9", "p12_12", "om2p"), ("-3", "p22_11", "om2p"),
-    ],
-    "et1_1": [
-        ("-3/4", "p11_12", "th1"), ("-3/4", "p11_22", "th2"),
-        ("1/2", None, "ze2"), ("3/2", None, "ze1"),
-    ],
-    "et1_2": [
-        ("-3/2", "p11_11", "th1"), ("-3/2", "p11_12", "th2"),
-        ("1", None, "ga21"),
-    ],
-    "et2_1": [("-3/2", "p22_11", "th1")],
-    "et2_2": [
-        ("3/4", "p11_12", "th1"), ("-3", "p12_11", "th1"),
-        ("3/4", "p11_22", "th2"), ("-3", "p12_12", "th2"),
-        ("3/2", None, "ze2"), ("3/2", None, "ze1"),
-    ],
-    "et3_3": [
-        ("3/4", "p11_12", "th1"), ("-1", "p13_10", "th1"),
-        ("3/4", "p11_22", "th2"), ("-3", "p12_12", "th2"),
-        ("-4", "p13_12p", "om0"),
-        ("1/2", None, "ze2"), ("1/2", None, "ze1"),
-    ],
-    "et3_3p": [("-1", "p13_12p", "th1"), ("-2", None, "om1p")],
-    "et3p_3": [
-        ("-1", "p13p_10", "th1"), ("-1", "p13p_20", "th2"),
-        ("-1", "p13p_00", "om0"), ("4", "p13_12p", "om2p"),
-        ("-2", None, "ga01"),
-    ],
-    "et_13": [
-        ("-3", "p13p_12", "th1"), ("3", "p23p_11", "th1"),
-        ("-3", "p13p_22", "th2"), ("6", "p13_12", "om0"),
-        ("-3", "p13p_20", "om0"), ("-12", "p23_11", "om0"),
-        ("-9/2", "p11_12", "om1p"), ("9", "p12_11", "om1p"),
-        ("-3", "p13_10", "om1p"), ("-9/2", "p11_22", "om2p"),
-        ("18", "p12_12", "om2p"), ("-9/2", "p22_11", "om2p"),
-    ],
-    "et_13p": [
-        ("-3", "p23_11", "th1"), ("-9/2", "p22_11", "om0"),
-        ("-3", "p13_12p", "om1p"),
-    ],
-    "et_23": [
-        ("-3", "p13p_11", "th1"), ("-3", "p13p_12", "th2"),
-        ("-3", "p13p_10", "om0"), ("-9/2", "p11_11", "om1p"),
-        ("-9/2", "p11_12", "om2p"), ("3", "p13_10", "om2p"),
-    ],
-    "et_23p": [
-        ("-3", "p13_11", "th1"), ("-3", "p13_12", "th2"),
-        ("-3", "p13_10", "om0"), ("-3", "p13_12p", "om2p"),
-        ("3", None, "ga01"),
-    ],
-}
-
-def _entries_form(stage: PStage, entries) -> Form:
-    ctx = stage.ctx
-    f = ctx.zero()
-    for coeff, psym, gen in entries:
-        c = Scalar.parse(coeff)
-        if psym is not None:
-            c = c * stage.p(psym)
-        if not c.is_zero():
-            f = f + ctx.gen(gen).scale(c)
-    return f
-
-
-def tilde_system(stage: PStage) -> dict:
-    """Each connection generator minus its prolongation-coordinate correction."""
-    return {b + "_t": stage.ctx.gen(b) - _entries_form(stage, entries)
-            for b, entries in TILDE_CORRECTIONS.items()}
+# The 14 connection generators the prolonged ideal corrects.  With the seven
+# contact targets they are the pivot columns of the I1 span.
+TILDE_BASES = [
+    "ga12", "ga02", "ga", "et1_1", "et1_2", "et2_1", "et2_2",
+    "et3_3", "et3_3p", "et3p_3", "et_13", "et_13p", "et_23", "et_23p",
+]
 
 
 def theta_system(stage: PStage) -> dict:
     """The 14 prolongation forms: solved fibre form plus coordinate tail."""
     v4 = stage_context("V4")
+    ctx = stage.ctx
     out = {}
     for (k, s), entries in THETA_TAILS.items():
-        pi = reindex(v4.pi_solutions[pi_name(k, s)], stage.ctx)
-        out[f"Th{k}_{s}"] = pi + _entries_form(stage, entries)
+        f = reindex(v4.pi_solutions[pi_name(k, s)], ctx)
+        for coeff, p, gen in entries:
+            c = Scalar.parse(coeff) * (stage.p(p) if p else Scalar.one())
+            f = f + ctx.gen(gen).scale(c)
+        out[f"Th{k}_{s}"] = f
     return out
 
 
@@ -361,25 +287,47 @@ def _initial_stage() -> PStage:
     return prolonged_stage(label="V4p")
 
 
-def build_I1() -> IdealGenerators:
-    """Prolonged ideal generators; both stated bases must span the same space.
+@lru_cache(maxsize=1)
+def tilde_corrections() -> dict:
+    """The correction {g: c} of each of the TILDE_BASES, read off the I1 span.
 
-    The contact forms plus the 14 prolongation forms, verified to coincide
-    (as a span of 1-forms) with the contact forms plus the 14 corrected
-    connection generators.
+    The contact and prolongation forms on the initial stage have a constant
+    21x21 block on the contact targets and the bases.  Solving them for
+    these pivots, with the other generators g carried as symbols, writes
+    each base modulo the span as the sum of c * g, c linear in the
+    prolongation coordinates.  A singular block raises Inconsistent.
     """
     stage = _initial_stage()
-    contact = contact_system(stage.ctx)
-    theta = theta_system(stage)
-    tilde = tilde_system(stage)
-    a = list(contact.values()) + list(theta.values())
-    b = list(contact.values()) + list(tilde.values())
-    ra, rb, rab = _span_rank(a), _span_rank(b), _span_rank(a + b)
-    if not (ra == rb == rab == len(a)):
+    forms = [*contact_system(stage.ctx).values(), *theta_system(stage).values()]
+    pivots = [_contact_target(k) for k in ROW_KEYS] + TILDE_BASES
+    others = [g for g in stage.ctx.names() if g not in pivots]
+    rows = [[f.coefficient([g]) for g in pivots] for f in forms]
+    rhs = [sum((-f.coefficient([g]) * Scalar.symbol(g) for g in others),
+               Scalar.zero()) for f in forms]
+    sol = solve_linear(rows, rhs)
+    if sol.rank < len(pivots):
         raise Inconsistent(
-            f"prolonged ideal bases disagree: ranks {ra}, {rb}, joint {rab}"
-        )
-    gens = IdealGenerators("I1", {**contact, **theta}, stage.ctx)
+            f"I1 span is singular on its pivots: rank {sol.rank} of {len(pivots)}")
+    return {b: {g: x.partial(g) for g in others if g in x.symbols()}
+            for b, x in zip(pivots, sol.particular) if b in TILDE_BASES}
+
+
+def tilde_system(stage: PStage) -> dict:
+    """Each of the TILDE_BASES minus its ``tilde_corrections`` at the
+    stage's coordinate values, named base + "_t"."""
+    ctx = stage.ctx
+    return {b + "_t": ctx.gen(b) - ctx.form(
+                {g: c.substitute(stage.p_values) for g, c in corr.items()})
+            for b, corr in tilde_corrections().items()}
+
+
+def build_I1() -> IdealGenerators:
+    """Prolonged ideal generators: the seven contact forms plus the 14
+    prolongation forms, checked independent.  Their span fixes the
+    corrected connection forms (``tilde_corrections``)."""
+    stage = _initial_stage()
+    gens = IdealGenerators(
+        "I1", {**contact_system(stage.ctx), **theta_system(stage)}, stage.ctx)
     gens.check_independent()
     return gens
 
@@ -541,58 +489,57 @@ def final_p_values() -> dict:
 # the reduced connection and its consequences
 # --------------------------------------------------------------------------
 
-# Values taken by the five reducible connection generators on the reduced
-# bundle, before the derivable identities are substituted.
-REDUCTION_ROWS = {
-    "ga12": {},
-    "ga02": {"th1": "1/14*A3"},
-    "ga": {"th1": "-4/7*B3", "om0": "-5/7*A3"},
-    "gam2": {"th1": "-2*C2-1/14*A3_0", "om1p": "17/14*A3"},
-    "gam1": {
-        "th1": "C3+4/7*B3_1p", "th2": "C2",
-        "om0": "-22/7*B3", "om1p": "9/7*A4", "om2p": "37/14*A3",
-    },
-}
-
 # The two derivative identities among the reduction consequences.
 IDENTITIES = {"A3_0": "6*C2", "B3_1p": "-3*C3"}
 
 
-def _map_rows(rows: Mapping[str, Mapping[str, str]], fn) -> dict:
-    """Apply fn to every entry of a table of rows written as scalar text."""
-    return {g: {k: str(fn(Scalar.parse(v))) for k, v in row.items()}
-            for g, row in rows.items()}
+@lru_cache(maxsize=1)
+def reduction_rows() -> dict:
+    """Values of the connection generators the reduced bundle eliminates.
+
+    These are the corrected and second-stage bases on the base context:
+    ga12, ga02 and ga take their ``tilde_corrections`` at the final
+    coordinate values, gam2 and gam1 their ``second_stage_tails`` negated.
+    Rows map generators, in context order, to Scalars.
+    """
+    base = set(_m2_context().names())
+    values = final_p_values()
+    rows = {}
+    for b, corr in tilde_corrections().items():
+        if b in base:
+            row = {g: c.substitute(values) for g, c in corr.items()}
+            rows[b] = {g: c for g, c in row.items() if not c.is_zero()}
+    for b, tail in second_stage_tails().items():
+        if b in base:
+            rows[b] = {g: -c for g, c in tail.items()}
+    return rows
 
 
-# The same rows after substituting the identities.
-THEOREM_ROWS = _map_rows(REDUCTION_ROWS, lambda s: s.substitute(
-    {k: Scalar.parse(v) for k, v in IDENTITIES.items()}))
+@lru_cache(maxsize=1)
+def theorem_rows() -> dict:
+    """The ``reduction_rows`` with the IDENTITIES substituted."""
+    ids = {k: Scalar.parse(v) for k, v in IDENTITIES.items()}
+    return {g: {k: v.substitute(ids) for k, v in row.items()}
+            for g, row in reduction_rows().items()}
 
 
-def row_form(ctx: CoframedContext, row: Mapping[str, str]) -> Form:
-    """The 1-form with the given coefficient text on each named generator."""
-    return ctx.form({(g,): Scalar.parse(v) for g, v in row.items()})
-
-
-def reduction_context(rows: Mapping[str, Mapping[str, str]] | None = None
-                      ) -> tuple[CoframedContext, dict]:
+def reduction_context() -> tuple[CoframedContext, dict]:
     """Base context with the five reducible connection generators eliminated.
 
-    Returns the reduced context together with the per-generator consistency
-    residuals: the structure equation of each eliminated generator minus the
-    exterior derivative of its replacement value.  These residuals, with the
-    closure residuals of the remaining coframe, encode every curvature
-    relation forced by the existence of the reduction.
+    The generators and their values are the ``reduction_rows``.  Returns the
+    reduced context together with the per-generator consistency residuals:
+    the structure equation of each eliminated generator minus the exterior
+    derivative of its replacement value.  These residuals, with the closure
+    residuals of the remaining coframe, encode every curvature relation
+    forced by the existence of the reduction.
     """
-    from .exterior import eliminate
-
-    rows = rows or REDUCTION_ROWS
+    rows = reduction_rows()
     m = _m2_context()
-    repl = {g: row_form(m, r) for g, r in rows.items()}
+    repl = {g: m.form(r) for g, r in rows.items()}
     ctx, transfer = eliminate(m, repl, label="R")
     residuals = {}
     for g, r in rows.items():
-        residuals[g] = transfer(m.d_rule(g)) - row_form(ctx, r).d()
+        residuals[g] = transfer(m.d_rule(g)) - ctx.form(r).d()
     return ctx, residuals
 
 
@@ -677,22 +624,6 @@ def restricted_class_spec() -> CurvatureSpec:
 # the final ideal
 # --------------------------------------------------------------------------
 
-# Tails added to the remaining connection generators at the final stage:
-# the two reduction rows of gam2 and gam1, negated, then the three et_ rows.
-SECOND_STAGE_TAILS = {
-    **_map_rows({g: REDUCTION_ROWS[g] for g in ("gam2", "gam1")},
-                Scalar.__neg__),
-    "et_11": {"th1": "6/7*A3_0", "om1p": "-18/7*A3"},
-    "et_12": {
-        "th1": "-6/7*B3_1p", "om0": "54/7*B3",
-        "om1p": "-24/7*A4", "om2p": "-54/7*A3",
-    },
-    "et_22": {
-        "th1": "-2/7*B4_1p", "om0": "36/7*B4",
-        "om1p": "-3*A5", "om2p": "-36/7*A4",
-    },
-}
-
 STAGE1_OBSTRUCTIONS = ["A1", "A2", "B1", "B2", "C1"]
 
 
@@ -715,55 +646,86 @@ def _final_stage(spec: CurvatureSpec | None, label: str) -> PStage:
     return PStage(ctx, vals, label)
 
 
-def _second_stage_forms(stage: PStage,
-                        bindings: Mapping[str, Scalar] = ()) -> dict:
-    b = dict(bindings) if bindings else {}
-    elims = _table_eliminations()
-    out = {}
-    for base, tail in SECOND_STAGE_TAILS.items():
-        f = stage.ctx.gen(base)
-        for g, v in tail.items():
-            c = Scalar.parse(v).substitute(elims)
-            if b:
-                c = c.substitute(b)
-            if not c.is_zero():
-                f = f + stage.ctx.gen(g).scale(c)
-        out[base + "_t"] = f
-    return out
-
-
-# The congruences that justify the second-stage forms, in pairs: (name,
-# d-combination, lead, determined form, killed generators).  Each checks
-# that combination + lead ∧ form reduces to zero; the second check of a
-# pair adds its form to the ideal of the checks after it.
+# The congruences that fix the second-stage forms, in pairs: (name,
+# d-combination, lead, second-stage base, killed generators).  Each states
+# that combination + lead ∧ (base + tail) reduces to zero modulo the killed
+# generators and the ideal; after the second check of a pair, the pair's
+# form joins the ideal of the checks after it.
 SECOND_STAGE_CHECKS = [
-    ("gam2_a", [("1", "ga12_t", None)], "th1", "gam2_t", []),
-    ("gam2_b", [("1", "ga02_t", None)], "om0", "gam2_t",
+    ("gam2_a", [("1", "ga12_t", None)], "th1", "gam2", []),
+    ("gam2_b", [("1", "ga02_t", None)], "om0", "gam2",
      ["th2", "om1p", "om2p"]),
-    ("t3_1a", [("-2", "et3_3_t", None)], "th1", "gam1_t", []),
-    ("t3_1b", [("1", "ga_t", None)], "om1p", "gam1_t",
+    ("t3_1a", [("-2", "et3_3_t", None)], "th1", "gam1", []),
+    ("t3_1b", [("1", "ga_t", None)], "om1p", "gam1",
      ["th2", "om0", "om2p"]),
-    ("t3_2a", [("3", "et2_1_t", None)], "th1", "et_11_t", []),
-    ("t3_2b", [("1", "et_13p_t", None)], "om0", "et_11_t",
+    ("t3_2a", [("3", "et2_1_t", None)], "th1", "et_11", []),
+    ("t3_2b", [("1", "et_13p_t", None)], "om0", "et_11",
      ["th2", "om1p", "om2p"]),
     ("t3_3a", [("3", "et2_2_t", None), ("-9", "et3_3_t", None)], "th1",
-     "et_12_t", []),
-    ("t3_3b", [("1", "et_13_t", None)], "om1p", "et_12_t",
+     "et_12", []),
+    ("t3_3b", [("1", "et_13_t", None)], "om1p", "et_12",
      ["th2", "om0", "om2p"]),
-    ("t3_4a", [("3", "et1_2_t", None)], "th1", "et_22_t", []),
-    ("t3_4b", [("1", "et_23_t", None)], "om1p", "et_22_t",
+    ("t3_4a", [("3", "et1_2_t", None)], "th1", "et_22", []),
+    ("t3_4b", [("1", "et_23_t", None)], "om1p", "et_22",
      ["th2", "om0", "om2p"]),
 ]
 
 
-def build_I2(spec: CurvatureSpec | None = None,
-             check_tables: bool = True) -> IdealGenerators:
+@lru_cache(maxsize=1)
+def second_stage_tails() -> dict:
+    """The tail {g: c} of each second-stage base, read off its congruences.
+
+    Runs SECOND_STAGE_CHECKS in order on the generic final stage, the one
+    ``build_I2()`` builds, reducing combination + lead ∧ (base + tail so
+    far).  Each lead ∧ g monomial left gives the tail coefficient of g,
+    except that the second check of a pair reads only the g the first could
+    not see (its lead and killed generators); any other monomial left, a
+    disagreement with the first check included, raises RowMismatch.  A
+    generator hidden from both checks of a pair raises Inconsistent.
+    """
+    zeros = dict.fromkeys(STAGE1_OBSTRUCTIONS, Scalar.zero())
+    stage = _final_stage(CurvatureSpec(zeros), label="Vp")
+    ctx = stage.ctx
+    first = tilde_system(stage)
+    ideal = list(contact_system(ctx).values()) + list(first.values())
+    tails: dict = {}
+    hidden: dict = {}  # base -> what the first check of its pair cannot see
+    for name, combo, lead, base, kills in SECOND_STAGE_CHECKS:
+        tail = tails.setdefault(base, {})
+        lhs = (_combination(ctx, first, combo)
+               + ctx.gen(lead).wedge(ctx.gen(base) + ctx.form(tail)))
+        k = ctx.index_of(lead)
+        readable = hidden.get(base)
+        left = {}
+        for idx, c in _residual(stage, lhs, kills, ideal).terms.items():
+            pair = len(idx) == 2 and k in idx
+            g = ctx.generators[sum(idx) - k].name if pair else base
+            if g != base and (readable is None or g in readable):
+                tail[g] = -c if idx[0] == k else c
+            else:
+                left[idx] = c
+        if left:
+            raise RowMismatch(name, Form(ctx, left))
+        blind = {lead, *kills}
+        if readable is None:
+            hidden[base] = blind
+        elif readable & blind:
+            raise Inconsistent(f"{base} tail on {sorted(readable & blind)} is"
+                               " hidden from both checks of its pair")
+        else:
+            ideal.append(ctx.gen(base) + ctx.form(tail))
+    return {b: {g: t[g] for g in ctx.names() if g in t}
+            for b, t in tails.items()}
+
+
+def build_I2(spec: CurvatureSpec | None = None) -> IdealGenerators:
     """Final ideal: contact forms plus the 19 corrected connection forms.
 
     Requires the five stage-1 obstructions to vanish; they are imposed on
-    top of the given spec.  When check_tables is set, the congruences of
-    SECOND_STAGE_CHECKS that justify each second-stage form are checked
-    against the forms built here.
+    top of the given spec.  The 14 first-stage forms are the
+    ``tilde_system`` at the final coordinate values; the five second-stage
+    forms carry the ``second_stage_tails`` with the spec's bindings
+    substituted.
     """
     bindings = _saturate(spec.bindings) if spec is not None else {}
     for s in STAGE1_OBSTRUCTIONS:
@@ -776,26 +738,12 @@ def build_I2(spec: CurvatureSpec | None = None,
     eff = CurvatureSpec(bindings=bindings,
                         relations=list(spec.relations) if spec else [])
     stage = _final_stage(eff, label="Vp")
-
-    contact = contact_system(stage.ctx)
-    first = tilde_system(stage)
-    second = _second_stage_forms(stage, eff.bindings)
-    forms = {**contact, **first, **second}
-
-    if check_tables:
-        ideal = list(contact.values()) + list(first.values())
-        checked = set()
-        for name, combo, lead, form, kills in SECOND_STAGE_CHECKS:
-            lhs = (_combination(stage.ctx, first, combo)
-                   + stage.ctx.gen(lead).wedge(second[form]))
-            res = _residual(stage, lhs, kills, ideal)
-            if not res.is_zero():
-                raise RowMismatch(name, res)
-            if form in checked:
-                ideal.append(second[form])
-            checked.add(form)
-
-    gens = IdealGenerators("I2", forms, stage.ctx)
+    ctx = stage.ctx
+    second = {b + "_t": ctx.gen(b) + ctx.form(
+                  {g: c.substitute(bindings) for g, c in tail.items()})
+              for b, tail in second_stage_tails().items()}
+    forms = {**contact_system(ctx), **tilde_system(stage), **second}
+    gens = IdealGenerators("I2", forms, ctx)
     gens.check_independent()
     return gens
 
@@ -830,7 +778,7 @@ def frobenius_check(gens: IdealGenerators) -> dict:
 @lru_cache(maxsize=1)
 def generic_frobenius_residuals() -> tuple:
     """Residual rows of the final ideal with the curvature left symbolic."""
-    gens = build_I2(CurvatureSpec({}), check_tables=False)
+    gens = build_I2(CurvatureSpec({}))
     return tuple(
         (e["generator"], e["monomial"], e["coefficient"])
         for e in frobenius_check(gens)["residuals"]
@@ -889,10 +837,11 @@ FINAL_CONDITIONS = {"A4_1p": "-5*B4", "A5_0_1p": "-21*A5_1"}
 def partition_final_residuals(entries: list) -> dict:
     """Split raw final residual rows into conditions and leftovers.
 
-    The two rows on the th1^om1p monomial are the genuine scalar
-    conditions.  Every other row either vanishes once the first condition
-    is substituted (``resolved_by_A41p``) or involves derivative symbols
-    whose relations are not visible at second order (``unresolved``).
+    The rows on the th1^om1p monomial are the scalar conditions.  Every
+    other row goes to ``resolved_by_A41p`` if it vanishes once the A4_1p
+    value of FINAL_CONDITIONS is substituted, and to ``unresolved``
+    otherwise: nothing here decides whether it follows from the conditions
+    and their derivatives.
     """
     cond1 = {"A4_1p": Scalar.parse(FINAL_CONDITIONS["A4_1p"])}
     out = {"conditions": [], "resolved_by_A41p": [], "unresolved": []}
@@ -912,7 +861,7 @@ def final_condition_residuals(spec: CurvatureSpec | None = None) -> list:
     bindings = dict(base.bindings)
     if spec is not None:
         bindings.update(spec.bindings)
-    gens = build_I2(CurvatureSpec(bindings=bindings), check_tables=False)
+    gens = build_I2(CurvatureSpec(bindings=bindings))
     forms = gens.all()
     out = []
     for name, factor in (("et3p_3_t", 1), ("et_22_t", 7)):

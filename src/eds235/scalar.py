@@ -263,7 +263,12 @@ class Scalar:
         return Scalar(t)
 
     def __sub__(self, o: "Scalar") -> "Scalar":
-        return self + (-o)
+        if not o.terms:
+            return self
+        t = dict(self.terms)
+        for m, c in o.terms.items():
+            _add_term(t, m, -c)
+        return Scalar(t)
 
     def __neg__(self) -> "Scalar":
         return Scalar({m: -c for m, c in self.terms.items()})

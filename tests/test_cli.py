@@ -24,7 +24,10 @@ def test_verdict_of_d6_is_embeddable(capsys):
 def test_verdict_of_malformed_spec_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.json"
     for text, named in (('{"bindings": [1]}', "bindings"),
-                        ('{"bindings": {"A3": true}}', "'A3'")):
+                        ('{"bindings": {"A3": true}}', "'A3'"),
+                        ('{"bindingz": {"A3": "1"}}', "'bindingz'"),
+                        ('{"bindings": {"A3": "1"}, "relations": ["Q9 - 1"]}',
+                         "'Q9'")):
         path.write_text(text)
         assert main(["verdict", str(path)]) == 2, text
         assert named in capsys.readouterr().err, text

@@ -300,7 +300,7 @@ class TestCurvatureSpec:
         with pytest.raises(InconsistentSpec, match="relations"):
             CurvatureSpec.from_json('{"relations": %s}' % relations)
 
-    @pytest.mark.parametrize("relation", ["2*(", "1/B4", "1/0"])
+    @pytest.mark.parametrize("relation", ["2*(", "1/B4", "1/0", "Q9 - 1"])
     def test_bad_relation_is_named(self, relation):
         text = json.dumps({"relations": ["A3 - 1", relation]})
         with pytest.raises(InconsistentSpec, match=re.escape(repr(relation))):

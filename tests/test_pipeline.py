@@ -1,7 +1,11 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
 from eds235 import pipeline
-from eds235.geometry import reduce_relations
+from eds235.geometry import Inconsistent, reduce_relations
 from eds235.pipeline import (
     FINAL_CONDITIONS,
     RowMismatch,
@@ -118,22 +122,185 @@ def test_derived_cascade_satisfies_the_transcribed_bindings():
     assert list(pipeline.final_p_values()) == pipeline.P_SYMBOLS
 
 
+# The tables the prolongation used to state by hand, kept to check the
+# derivations against.  Tilde entries are (coefficient, prolongation
+# coordinate or None, generator) and stand for their sum.
+TRANSCRIBED_TILDE = {
+    "ga12": [("3", "p12_12", "th1"), ("-3", "p22_11", "th1")],
+    "ga02": [
+        ("1", "p13_12", "th1"), ("-2", "p23_11", "th1"),
+        ("3", "p12_12", "om0"), ("-3", "p22_11", "om0"),
+        ("-2", "p13_12p", "om1p"),
+    ],
+    "ga": [
+        ("-1", "p13p_12", "th1"), ("2", "p23p_11", "th1"),
+        ("-1", "p13p_22", "th2"), ("4", "p13_12", "om0"),
+        ("-1", "p13p_20", "om0"), ("-8", "p23_11", "om0"),
+        ("-3/2", "p11_12", "om1p"), ("6", "p12_11", "om1p"),
+        ("-2", "p13_10", "om1p"), ("-3/2", "p11_22", "om2p"),
+        ("9", "p12_12", "om2p"), ("-3", "p22_11", "om2p"),
+    ],
+    "et1_1": [
+        ("-3/4", "p11_12", "th1"), ("-3/4", "p11_22", "th2"),
+        ("1/2", None, "ze2"), ("3/2", None, "ze1"),
+    ],
+    "et1_2": [
+        ("-3/2", "p11_11", "th1"), ("-3/2", "p11_12", "th2"),
+        ("1", None, "ga21"),
+    ],
+    "et2_1": [("-3/2", "p22_11", "th1")],
+    "et2_2": [
+        ("3/4", "p11_12", "th1"), ("-3", "p12_11", "th1"),
+        ("3/4", "p11_22", "th2"), ("-3", "p12_12", "th2"),
+        ("3/2", None, "ze2"), ("3/2", None, "ze1"),
+    ],
+    "et3_3": [
+        ("3/4", "p11_12", "th1"), ("-1", "p13_10", "th1"),
+        ("3/4", "p11_22", "th2"), ("-3", "p12_12", "th2"),
+        ("-4", "p13_12p", "om0"),
+        ("1/2", None, "ze2"), ("1/2", None, "ze1"),
+    ],
+    "et3_3p": [("-1", "p13_12p", "th1"), ("-2", None, "om1p")],
+    "et3p_3": [
+        ("-1", "p13p_10", "th1"), ("-1", "p13p_20", "th2"),
+        ("-1", "p13p_00", "om0"), ("4", "p13_12p", "om2p"),
+        ("-2", None, "ga01"),
+    ],
+    "et_13": [
+        ("-3", "p13p_12", "th1"), ("3", "p23p_11", "th1"),
+        ("-3", "p13p_22", "th2"), ("6", "p13_12", "om0"),
+        ("-3", "p13p_20", "om0"), ("-12", "p23_11", "om0"),
+        ("-9/2", "p11_12", "om1p"), ("9", "p12_11", "om1p"),
+        ("-3", "p13_10", "om1p"), ("-9/2", "p11_22", "om2p"),
+        ("18", "p12_12", "om2p"), ("-9/2", "p22_11", "om2p"),
+    ],
+    "et_13p": [
+        ("-3", "p23_11", "th1"), ("-9/2", "p22_11", "om0"),
+        ("-3", "p13_12p", "om1p"),
+    ],
+    "et_23": [
+        ("-3", "p13p_11", "th1"), ("-3", "p13p_12", "th2"),
+        ("-3", "p13p_10", "om0"), ("-9/2", "p11_11", "om1p"),
+        ("-9/2", "p11_12", "om2p"), ("3", "p13_10", "om2p"),
+    ],
+    "et_23p": [
+        ("-3", "p13_11", "th1"), ("-3", "p13_12", "th2"),
+        ("-3", "p13_10", "om0"), ("-3", "p13_12p", "om2p"),
+        ("3", None, "ga01"),
+    ],
+}
+
+TRANSCRIBED_REDUCTION_ROWS = {
+    "ga12": {},
+    "ga02": {"th1": "1/14*A3"},
+    "ga": {"th1": "-4/7*B3", "om0": "-5/7*A3"},
+    "gam2": {"th1": "-2*C2-1/14*A3_0", "om1p": "17/14*A3"},
+    "gam1": {
+        "th1": "C3+4/7*B3_1p", "th2": "C2",
+        "om0": "-22/7*B3", "om1p": "9/7*A4", "om2p": "37/14*A3",
+    },
+}
+
+TRANSCRIBED_THEOREM_ROWS = {
+    "ga12": {},
+    "ga02": {"th1": "1/14*A3"},
+    "ga": {"th1": "-4/7*B3", "om0": "-5/7*A3"},
+    "gam2": {"th1": "-17/7*C2", "om1p": "17/14*A3"},
+    "gam1": {
+        "th1": "-5/7*C3", "th2": "C2",
+        "om0": "-22/7*B3", "om1p": "9/7*A4", "om2p": "37/14*A3",
+    },
+}
+
+# Second-stage tails, before the table eliminations are substituted.
+TRANSCRIBED_SECOND_STAGE_TAILS = {
+    "gam2": {"th1": "2*C2+1/14*A3_0", "om1p": "-17/14*A3"},
+    "gam1": {
+        "th1": "-C3-4/7*B3_1p", "th2": "-C2",
+        "om0": "22/7*B3", "om1p": "-9/7*A4", "om2p": "-37/14*A3",
+    },
+    "et_11": {"th1": "6/7*A3_0", "om1p": "-18/7*A3"},
+    "et_12": {
+        "th1": "-6/7*B3_1p", "om0": "54/7*B3",
+        "om1p": "-24/7*A4", "om2p": "-54/7*A3",
+    },
+    "et_22": {
+        "th1": "-2/7*B4_1p", "om0": "36/7*B4",
+        "om1p": "-3*A5", "om2p": "-36/7*A4",
+    },
+}
+
+
+def _transcribed_correction(entries, values=None) -> dict:
+    """{generator: coefficient} of tilde entries, coordinates at values."""
+    row: dict = {}
+    for coeff, p, gen in entries:
+        c = Scalar.parse(coeff)
+        if p is not None:
+            c = c * (values[p] if values else Scalar.symbol(p))
+        row[gen] = row.get(gen, Scalar.zero()) + c
+    return {g: c for g, c in row.items() if not c.is_zero()}
+
+
+def test_derived_tilde_forms_equal_the_transcribed_ones():
+    stage = pipeline._initial_stage()
+    ctx = stage.ctx
+    tilde = pipeline.tilde_system(stage)
+    assert list(tilde) == [b + "_t" for b in TRANSCRIBED_TILDE]
+    for base, entries in TRANSCRIBED_TILDE.items():
+        expected = ctx.gen(base) - ctx.form(_transcribed_correction(entries))
+        assert tilde[base + "_t"] == expected, base
+
+
+def test_derived_second_stage_forms_equal_the_transcribed_ones():
+    gens = build_I2()
+    ctx = gens.context
+    elims = pipeline._table_eliminations()
+    second = [n for n in gens.forms if n[:-2] in TRANSCRIBED_SECOND_STAGE_TAILS]
+    assert second == [b + "_t" for b in TRANSCRIBED_SECOND_STAGE_TAILS]
+    for base, tail in TRANSCRIBED_SECOND_STAGE_TAILS.items():
+        expected = ctx.gen(base) + ctx.form(
+            {(g,): Scalar.parse(v).substitute(elims) for g, v in tail.items()})
+        assert gens.forms[base + "_t"] == expected, base
+
+
+def _as_text(rows) -> list:
+    return [(g, [(k, str(v)) for k, v in row.items()]) for g, row in rows.items()]
+
+
+def test_derived_rows_equal_the_transcribed_ones():
+    assert _as_text(pipeline.reduction_rows()) == [
+        (g, list(row.items())) for g, row in TRANSCRIBED_REDUCTION_ROWS.items()]
+    assert _as_text(pipeline.theorem_rows()) == [
+        (g, list(row.items())) for g, row in TRANSCRIBED_THEOREM_ROWS.items()]
+
+
 def test_reduction_rows_are_the_corrections_at_the_final_values():
     values = pipeline.final_p_values()
+    rows = pipeline.reduction_rows()
     for base in ("ga12", "ga02", "ga"):
-        row: dict = {}
-        for coeff, p, gen in pipeline.TILDE_CORRECTIONS[base]:
-            c = Scalar.parse(coeff) * (values[p] if p else Scalar.one())
-            row[gen] = row.get(gen, Scalar.zero()) + c
-        expected = {g: Scalar.parse(v)
-                    for g, v in pipeline.REDUCTION_ROWS[base].items()}
-        assert {g: c for g, c in row.items() if not c.is_zero()} == expected
+        row = _transcribed_correction(TRANSCRIBED_TILDE[base], values)
+        assert rows[base] == row, base
+
+
+def test_import_derives_nothing():
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    code = ("import eds235.pipeline as p, eds235.examples\n"
+            "print([f.cache_info().currsize for f in (p.table_reductions, "
+            "p.tilde_corrections, p.second_stage_tails, p.reduction_rows, "
+            "p.theorem_rows)])")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "[0, 0, 0, 0, 0]"
 
 
 @pytest.fixture
 def fresh_cascade():
-    """Rerun the cascade inside the test and again after it."""
-    caches = (pipeline._initial_stage, pipeline.table_reductions)
+    """Rerun the derivations inside the test and again after it."""
+    caches = (pipeline._initial_stage, pipeline.tilde_corrections,
+              pipeline.table_reductions, pipeline.second_stage_tails)
     for cached in caches:
         cached.cache_clear()
     yield
@@ -141,20 +308,24 @@ def fresh_cascade():
         cached.cache_clear()
 
 
-def _corrupt_tilde(monkeypatch, base, entry):
-    corrections = pipeline.TILDE_CORRECTIONS
-    monkeypatch.setitem(corrections, base, corrections[base] + [entry])
+def _corrupt_tilde(monkeypatch, base, gen, extra):
+    """Add extra to the derived correction of base on gen."""
+    derived = pipeline.tilde_corrections()
+    row = dict(derived[base])
+    row[gen] = row.get(gen, Scalar.zero()) + Scalar.parse(extra)
+    corrupted = {**derived, base: row}
+    monkeypatch.setattr(pipeline, "tilde_corrections", lambda: corrupted)
 
 
 def test_non_affine_torsion_names_its_row(monkeypatch, fresh_cascade):
-    _corrupt_tilde(monkeypatch, "et3_3p", ("1", "p12_12", "om0"))
+    _corrupt_tilde(monkeypatch, "et3_3p", "om0", "p12_12")
     with pytest.raises(RowMismatch) as info:
         pipeline.table_reductions()
     assert info.value.row == "V5"
 
 
 def test_torsion_free_remainder_names_its_row(monkeypatch, fresh_cascade):
-    _corrupt_tilde(monkeypatch, "et2_2", ("1", None, "om0"))
+    _corrupt_tilde(monkeypatch, "et2_2", "om0", "1")
     with pytest.raises(RowMismatch) as info:
         pipeline.table_reductions()
     assert info.value.row == "row8a"
@@ -174,11 +345,41 @@ def test_wrong_binding_names_its_row(monkeypatch, fresh_cascade):
     assert info.value.row == "V6"
 
 
-def test_row_mismatch_names_the_corrupted_row(monkeypatch):
-    tails = pipeline.SECOND_STAGE_TAILS
-    monkeypatch.setitem(tails, "et_11", {**tails["et_11"], "om2p": "1"})
-    with pytest.raises(RowMismatch) as info:
-        build_I2(check_tables=True)
-    assert info.value.row == "t3_2a"
-    ctx = info.value.residual.ctx
-    assert info.value.residual == ctx.gen("th1").wedge(ctx.gen("om2p"))
+def test_singular_span_is_inconsistent(monkeypatch, fresh_cascade):
+    """Th22_1 without its et2_1 term has no pivot left."""
+    theta = dict(pipeline.THETA_TAILS)
+    theta[("22", "1")] = theta[("22", "1")] + [("-2/3", None, "et2_1")]
+    monkeypatch.setattr(pipeline, "THETA_TAILS", theta)
+    with pytest.raises(Inconsistent, match="rank 20 of 21"):
+        pipeline.tilde_corrections()
+
+
+def test_row_mismatch_names_the_corrupted_row(monkeypatch, fresh_cascade):
+    """A doubled first congruence leaves its lead on the base; the second
+    check of gam2 without om1p killed sees the th1 ∧ om1p torsion that the
+    first check's tail left."""
+    cases = [
+        (4, ("t3_2a", [("6", "et2_1_t", None)], "th1", "et_11", []),
+         {("th1", "et_11"): "-1"}),
+        (1, ("gam2_b", [("1", "ga02_t", None)], "om0", "gam2", ["th2", "om2p"]),
+         {("th1", "om1p"): "1/7*B3+1/14*A3_1p"}),
+    ]
+    for index, check, residual in cases:
+        checks = list(pipeline.SECOND_STAGE_CHECKS)
+        checks[index] = check
+        pipeline.second_stage_tails.cache_clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(pipeline, "SECOND_STAGE_CHECKS", checks)
+            with pytest.raises(RowMismatch) as info:
+                build_I2()
+        assert info.value.row == check[0]
+        got = info.value.residual
+        assert got == got.ctx.form(residual), check[0]
+
+
+def test_tail_hidden_from_both_checks_is_inconsistent(monkeypatch, fresh_cascade):
+    checks = list(pipeline.SECOND_STAGE_CHECKS)
+    checks[0] = ("gam2_a", [("1", "ga12_t", None)], "th1", "gam2", ["om1p"])
+    monkeypatch.setattr(pipeline, "SECOND_STAGE_CHECKS", checks)
+    with pytest.raises(Inconsistent, match=r"gam2 tail on \['om1p'\]"):
+        pipeline.second_stage_tails()
