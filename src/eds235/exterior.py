@@ -4,10 +4,25 @@ A CoframedContext is an ordered list of 1-form generators together with two
 derivation rule tables: d of each generator, and d of each function symbol
 that may appear in coefficients.  Forms are sparse maps from strictly
 increasing generator index tuples to scalars.  Everything is exact.
+
+Sums are accumulated in place: ``d``, ``d_scalar``, ``form``,
+``substitute_generator``, ``+``, ``-`` and the loops of ``reduce_mod`` add
+each contribution straight into one term dict with ``_add_into`` or
+``_sub_into``, which delete a key whose sum cancels, and wrap the result
+with ``Form._wrap`` instead of building a throwaway Form per step.
+
+Term order is observable (the derivative-table JSON and the order of
+derived relations follow it), so these loops keep the order of the
+compositional definitions they replace: contributions are added in the
+same sequence, each to the running sum as ``sum + contribution``, and a
+cancelled key is deleted at once, so it re-enters at the end, as it did
+when every partial sum was a filtered Form.  ``wedge`` is different: it
+accumulates every product first and drops the zeros once at the end.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
@@ -45,6 +60,14 @@ class Form:
         self.ctx = ctx
         self.terms = {i: c for i, c in terms.items() if not c.is_zero()}
 
+    @classmethod
+    def _wrap(cls, ctx: "CoframedContext", terms: dict) -> "Form":
+        """A Form owning ``terms``, which must hold no zero coefficient."""
+        f = cls.__new__(cls)
+        f.ctx = ctx
+        f.terms = terms
+        return f
+
     # ---- basics ---------------------------------------------------------
     def is_zero(self) -> bool:
         return not self.terms
@@ -67,27 +90,30 @@ class Form:
         self._check(o)
         t = dict(self.terms)
         for i, c in o.terms.items():
-            s = t.get(i)
-            t[i] = c if s is None else s + c
-        return Form(self.ctx, t)
+            _add_into(t, i, c)
+        return Form._wrap(self.ctx, t)
 
     def __neg__(self) -> "Form":
-        return Form(self.ctx, {i: -c for i, c in self.terms.items()})
+        return Form._wrap(self.ctx, {i: -c for i, c in self.terms.items()})
 
     def __sub__(self, o: "Form") -> "Form":
-        return self + (-o)
+        self._check(o)
+        t = dict(self.terms)
+        for i, c in o.terms.items():
+            _sub_into(t, i, c)
+        return Form._wrap(self.ctx, t)
 
     def scale(self, c: Scalar) -> "Form":
         if c.is_zero():
-            return Form(self.ctx, {})
-        return Form(self.ctx, {i: k * c for i, k in self.terms.items()})
+            return Form._wrap(self.ctx, {})
+        # no zero divisors: a product of nonzero polynomials is nonzero
+        return Form._wrap(self.ctx, {i: k * c for i, k in self.terms.items()})
 
     def __eq__(self, o) -> bool:
+        """Equal contexts and equal terms; coefficients are canonical Scalars."""
         if not isinstance(o, Form):
             return NotImplemented
-        if self.ctx is not o.ctx:
-            return False
-        return (self - o).is_zero()
+        return self.ctx is o.ctx and self.terms == o.terms
 
     def __hash__(self):
         return hash((id(self.ctx), frozenset(self.terms)))
@@ -114,24 +140,28 @@ class Form:
 
     # ---- differentiation ---------------------------------------------------
     def d(self) -> "Form":
+        """Leibniz rule, summed into one term dict.
+
+        For each term c·g_1∧…∧g_k, in term order: d(c) ∧ monomial, then for
+        each position (-1)^pos · c · g_1∧…∧d(g_pos)∧…∧g_k.
+        """
         ctx = self.ctx
-        out = Form(ctx, {})
+        gens = ctx.generators
+        out: dict = {}
         for idx, c in self.terms.items():
-            # d(coefficient) ∧ monomial
-            dc = ctx.d_scalar(c)
-            if not dc.is_zero():
-                out = out + dc.wedge(Form(ctx, {idx: Scalar.one()}))
-            # Leibniz over the generators of the monomial
+            for i1, c1 in ctx.d_scalar(c).terms.items():
+                r = _sorted_concat(i1, idx)
+                if r is not None:
+                    _add_into(out, r[0], c1 if r[1] > 0 else -c1)
             for pos, gi in enumerate(idx):
-                rule = ctx.d_rule(ctx.generators[gi].name)
                 rest = idx[:pos] + idx[pos + 1 :]
-                sign = -1 if pos % 2 else 1
-                cc = c if sign > 0 else -c
-                # rule ∧ (rest), with rule sitting at position pos
-                left = Form(ctx, {idx[:pos]: cc})
-                right = Form(ctx, {idx[pos + 1 :]: Scalar.one()})
-                out = out + left.wedge(rule).wedge(right)
-        return out
+                lead = -1 if pos % 2 else 1
+                for ri, rc in ctx.d_rule(gens[gi].name).terms.items():
+                    r = _splice(rest, pos, ri)
+                    if r is not None:
+                        cc = c * rc
+                        _add_into(out, r[0], cc if r[1] == lead else -cc)
+        return Form._wrap(ctx, out)
 
     # ---- access -------------------------------------------------------------
     def coefficient(self, names: Sequence[str]) -> Scalar:
@@ -176,6 +206,47 @@ class Form:
 
     def __repr__(self):
         return f"Form({self})"
+
+
+def _add_into(t: dict, idx: tuple, c: Scalar) -> None:
+    """t[idx] += c for a nonzero c, deleting the key if the sum cancels."""
+    s = t.get(idx)
+    if s is None:
+        t[idx] = c
+        return
+    c = s + c
+    if c.is_zero():
+        del t[idx]
+    else:
+        t[idx] = c
+
+
+def _sub_into(t: dict, idx: tuple, c: Scalar) -> None:
+    """t[idx] -= c for a nonzero c, deleting the key if the difference cancels."""
+    s = t.get(idx)
+    if s is None:
+        t[idx] = -c
+        return
+    c = s - c
+    if c.is_zero():
+        del t[idx]
+    else:
+        t[idx] = c
+
+
+def _splice(rest: tuple, pos: int, ins: tuple) -> tuple[tuple, int] | None:
+    """Sort rest[:pos] + ins + rest[pos:], with the sign of the permutation.
+
+    rest and ins are strictly increasing; None if they share an index.  The
+    inversions are Σ_j |#{r in rest : r < j} − pos| over j in ins.
+    """
+    n = 0
+    for j in ins:
+        if j in rest:
+            return None
+        k = bisect_left(rest, j)
+        n += k - pos if k > pos else pos - k
+    return tuple(sorted(rest + ins)), -1 if n % 2 else 1
 
 
 def _sorted_concat(i1: tuple, i2: tuple) -> tuple[tuple, int] | None:
@@ -224,11 +295,18 @@ class CoframedContext:
     def names(self) -> list[str]:
         return [g.name for g in self.generators]
 
+    def _own(self, form: "Form"):
+        if form.ctx is not self:
+            raise ContextMismatch(
+                f"form over {form.ctx.label} used in {self.label}")
+
     def set_rule(self, name: str, form: "Form"):
         self.index_of(name)
+        self._own(form)
         self.rules.d_of_generator[name] = form
 
     def set_symbol_rule(self, sym: str, form: "Form"):
+        self._own(form)
         self.rules.d_of_symbol[sym] = form
 
     def d_rule(self, name: str) -> "Form":
@@ -238,7 +316,8 @@ class CoframedContext:
         return r
 
     def d_scalar(self, c: Scalar) -> "Form":
-        out = self.zero()
+        """Σ over the symbols s of c, in sorted order, of d(s) · ∂c/∂s."""
+        out: dict = {}
         for sym in sorted(c.symbols()):
             p = c.partial(sym)
             if p.is_zero():
@@ -246,26 +325,29 @@ class CoframedContext:
             rule = self.rules.d_of_symbol.get(sym)
             if rule is None:
                 raise MissingRule(sym)
-            out = out + rule.scale(p)
-        return out
+            for i, k in rule.terms.items():
+                _add_into(out, i, k * p)
+        return Form._wrap(self, out)
 
     # ---- form constructors ----------------------------------------------
     def zero(self) -> Form:
-        return Form(self, {})
+        return Form._wrap(self, {})
 
     def gen(self, name: str) -> Form:
-        return Form(self, {(self.index_of(name),): Scalar.one()})
+        return Form._wrap(self, {(self.index_of(name),): Scalar.one()})
 
     def form(self, terms: Mapping[Sequence[str], object]) -> Form:
-        out = self.zero()
+        """Σ c · n_1∧…∧n_k over the entries, the names in the given order."""
+        out: dict = {}
         for names, c in terms.items():
             if isinstance(names, str):
                 names = (names,)
-            f = Form(self, {(): Scalar.of(c)})
-            for n in names:
-                f = f.wedge(self.gen(n))
-            out = out + f
-        return out
+            c = Scalar.of(c)
+            key = tuple(self.index_of(n) for n in names)
+            r = _sorted_concat(key[:1], key[1:])
+            if r is not None and not c.is_zero():
+                _add_into(out, r[0], c if r[1] > 0 else -c)
+        return Form._wrap(self, out)
 
     def scalar_form(self, c: Scalar) -> Form:
         return Form(self, {(): c})
@@ -285,21 +367,30 @@ class CoframedContext:
 
     # ---- substitution -----------------------------------------------------
     def substitute_generator(self, f: Form, name: str, replacement: Form) -> Form:
-        """Rewrite every occurrence of the named generator by a 1-form."""
+        """Rewrite every occurrence of the named generator by a 1-form.
+
+        Terms without the generator keep their place; the rewritten terms
+        are summed apart and then added, in order.
+        """
+        self._own(replacement)
         k = self.index_of(name)
-        out_terms: dict = {}
-        extra = self.zero()
+        out: dict = {}
+        extra: dict = {}
         for idx, c in f.terms.items():
             if k not in idx:
-                s = out_terms.get(idx)
-                out_terms[idx] = c if s is None else s + c
+                out[idx] = c
                 continue
             pos = idx.index(k)
+            rest = idx[:pos] + idx[pos + 1 :]
             # prefix ∧ replacement ∧ suffix sits exactly where the generator was
-            left = Form(self, {idx[:pos]: c})
-            right = Form(self, {idx[pos + 1 :]: Scalar.one()})
-            extra = extra + left.wedge(replacement).wedge(right)
-        return Form(self, out_terms) + extra
+            for ri, rc in replacement.terms.items():
+                r = _splice(rest, pos, ri)
+                if r is not None:
+                    cc = c * rc
+                    _add_into(extra, r[0], cc if r[1] > 0 else -cc)
+        for idx, c in extra.items():
+            _add_into(out, idx, c)
+        return Form._wrap(self, out)
 
 
 @dataclass
@@ -345,9 +436,12 @@ def reduce_mod(f: Form, ideal_gens: Sequence[Form]) -> ReduceResult:
         trans[i] = [x * inv for x in trans[i]]
         for j in range(n):
             if j != i:
-                cj = work[j].terms.get((p,), Scalar.zero())
-                if not cj.is_zero():
-                    work[j] = work[j] - work[i].scale(cj)
+                cj = work[j].terms.get((p,))
+                if cj is not None:
+                    t = dict(work[j].terms)
+                    for idx, c in work[i].terms.items():
+                        _sub_into(t, idx, c * cj)
+                    work[j] = Form._wrap(ctx, t)
                     trans[j] = [trans[j][k] - cj * trans[i][k] for k in range(n)]
         pivots.append((i, p))
         used.add(p)
@@ -362,14 +456,13 @@ def reduce_mod(f: Form, ideal_gens: Sequence[Form]) -> ReduceResult:
     delta = f - out
     mults_reduced = [ctx.zero() for _ in range(n)]
     for (i, p) in pivots:
-        coef = ctx.zero()
+        t: dict = {}
         for idx, c in delta.terms.items():
             if p not in idx:
                 continue
             pos = idx.index(p)
-            rest = idx[:pos] + idx[pos + 1 :]
-            coef = coef + Form(ctx, {rest: c if pos % 2 == 0 else -c})
-        mults_reduced[i] = coef
+            _add_into(t, idx[:pos] + idx[pos + 1 :], c if pos % 2 == 0 else -c)
+        coef = mults_reduced[i] = Form._wrap(ctx, t)
         delta = delta - work[i].wedge(coef)
     if not delta.is_zero():
         raise AssertionError("multiplier recovery failed")
@@ -377,11 +470,13 @@ def reduce_mod(f: Form, ideal_gens: Sequence[Form]) -> ReduceResult:
     # reduced_i = Σ_j trans[i][j] · gens_j  ⇒  Σ_i reduced_i∧μ_i = Σ_j gens_j∧(Σ_i trans[i][j]·μ_i)
     multipliers = []
     for j in range(n):
-        mj = ctx.zero()
+        t = {}
         for i in range(n):
-            if not trans[i][j].is_zero():
-                mj = mj + mults_reduced[i].scale(trans[i][j])
-        multipliers.append((gens[j], mj))
+            tij = trans[i][j]
+            if not tij.is_zero():
+                for idx, c in mults_reduced[i].terms.items():
+                    _add_into(t, idx, c * tij)
+        multipliers.append((gens[j], Form._wrap(ctx, t)))
 
     return ReduceResult(out, multipliers, [(p, work[i]) for (i, p) in pivots])
 

@@ -356,7 +356,9 @@ def _extend_table(below: DerivativeTable, syms: Sequence[str],
     is linear in that generator's unknowns; these slots make one exactly
     determined block per connection generator.  Slots with no connection
     generator are relations among derivative symbols, reduced after the
-    blocks are solved; slots with several must vanish.
+    blocks are solved; slots with several must vanish.  A block coefficient
+    with an unknown that is not linear, or that belongs to another block,
+    raises Inconsistent.
     """
     unknown = {(sym, v): f"_u_{sym}_{v}" for sym in syms for v in CONNECTION}
     rows = {
@@ -365,7 +367,6 @@ def _extend_table(below: DerivativeTable, syms: Sequence[str],
     }
     ctx = build_M_context(table=DerivativeTable(below.rules | rows), label="M-extend")
 
-    zero_u = {u: Scalar.zero() for u in unknown.values()}
     blocks: dict[str, list] = {v: [] for v in CONNECTION}
     relations: list[Scalar] = []
     for root in roots:
@@ -376,21 +377,21 @@ def _extend_table(below: DerivativeTable, syms: Sequence[str],
                 blocks[conn[0]].append(c)
             elif not conn:
                 relations.append(c)
-            elif not c.substitute(zero_u).is_zero() or c.symbols() & zero_u.keys():
+            else:  # a Form holds no zero term, so this slot does not vanish
                 raise Inconsistent(
                     f"unexpected vertical-slot residual in d²({root}): {c}"
                 )
 
+    unknowns = set(unknown.values())
     solution: dict[str, Scalar] = {}
     for v in CONNECTION:
         cols = [unknown[sym, v] for sym in syms]
+        col_of = {u: j for j, u in enumerate(cols)}
         mat, rhs = [], []
         for c in blocks[v]:
-            row = [c.partial(u) for u in cols]
-            if any(not x.is_constant() for x in row):
-                raise Inconsistent("nonlinear unknown coefficient")
+            row, rest = _read_unknowns(c, col_of, unknowns)
             mat.append(row)
-            rhs.append(-c.substitute(zero_u))
+            rhs.append(-rest)
         sol = solve_linear(mat, rhs)
         if sol.inconsistent or sol.particular is None:
             raise Inconsistent(f"vertical block {v} unsolvable")
@@ -410,6 +411,30 @@ def _extend_table(below: DerivativeTable, syms: Sequence[str],
         table.rules[sym] = {g: c for g, c in reduced.items() if not c.is_zero()}
     _verify_closure(table, list(below.rules))
     return table
+
+
+def _read_unknowns(c: Scalar, col_of: Mapping[str, int],
+                   unknowns: set) -> tuple[list, Scalar]:
+    """Split c into its coefficients on the block's unknowns and the rest.
+
+    One pass over the terms of c: a term q·u, with q a constant and u an
+    unknown of the block (``col_of`` gives its column), fills that column;
+    a term free of ``unknowns`` joins the rest.  Any other term, an unknown
+    squared, times a symbol or of another block, raises Inconsistent.
+    """
+    row = [Scalar.zero()] * len(col_of)
+    rest = {}
+    for m, q in c.terms.items():
+        if not any(name in unknowns for name, _ in m):
+            rest[m] = q
+            continue
+        if len(m) != 1 or m[0][1] != 1:
+            raise Inconsistent(f"nonlinear unknown coefficient: {c}")
+        u = m[0][0]
+        if u not in col_of:
+            raise Inconsistent(f"unknown {u} of another block: {c}")
+        row[col_of[u]] = Scalar({(): q})
+    return row, Scalar(rest)
 
 
 def _verify_closure(table: DerivativeTable, symbols: Sequence[str]):

@@ -646,6 +646,17 @@ def _final_stage(spec: CurvatureSpec | None, label: str) -> PStage:
     return PStage(ctx, vals, label)
 
 
+@lru_cache(maxsize=1)
+def _generic_final_stage() -> PStage:
+    """The final stage with only the stage-1 zeros imposed, built once.
+
+    ``second_stage_tails`` and ``build_I2`` on a spec that binds nothing
+    else share it; neither changes its context or its values.
+    """
+    zeros = dict.fromkeys(STAGE1_OBSTRUCTIONS, Scalar.zero())
+    return _final_stage(CurvatureSpec(zeros), label="Vp")
+
+
 # The congruences that fix the second-stage forms, in pairs: (name,
 # d-combination, lead, second-stage base, killed generators).  Each states
 # that combination + lead ∧ (base + tail) reduces to zero modulo the killed
@@ -676,15 +687,14 @@ def second_stage_tails() -> dict:
     """The tail {g: c} of each second-stage base, read off its congruences.
 
     Runs SECOND_STAGE_CHECKS in order on the generic final stage, the one
-    ``build_I2()`` builds, reducing combination + lead ∧ (base + tail so
+    ``build_I2()`` uses, reducing combination + lead ∧ (base + tail so
     far).  Each lead ∧ g monomial left gives the tail coefficient of g,
     except that the second check of a pair reads only the g the first could
     not see (its lead and killed generators); any other monomial left, a
     disagreement with the first check included, raises RowMismatch.  A
     generator hidden from both checks of a pair raises Inconsistent.
     """
-    zeros = dict.fromkeys(STAGE1_OBSTRUCTIONS, Scalar.zero())
-    stage = _final_stage(CurvatureSpec(zeros), label="Vp")
+    stage = _generic_final_stage()
     ctx = stage.ctx
     first = tilde_system(stage)
     ideal = list(contact_system(ctx).values()) + list(first.values())
@@ -735,9 +745,11 @@ def build_I2(spec: CurvatureSpec | None = None) -> IdealGenerators:
                 raise ObstructionNonzero(f"{s} = {v} contradicts {s} = 0")
         bindings[s] = Scalar.zero()
     bindings = _saturate(bindings)
-    eff = CurvatureSpec(bindings=bindings,
-                        relations=list(spec.relations) if spec else [])
-    stage = _final_stage(eff, label="Vp")
+    relations = list(spec.relations) if spec else []
+    if not relations and bindings == dict.fromkeys(STAGE1_OBSTRUCTIONS, Scalar.zero()):
+        stage = _generic_final_stage()
+    else:
+        stage = _final_stage(CurvatureSpec(bindings, relations), label="Vp")
     ctx = stage.ctx
     second = {b + "_t": ctx.gen(b) + ctx.form(
                   {g: c.substitute(bindings) for g, c in tail.items()})

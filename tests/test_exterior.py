@@ -102,6 +102,15 @@ def test_context_mismatch():
         c1.gen("a").wedge(c2.gen("b"))
     with pytest.raises(ContextMismatch):
         c1.gen("a") + c2.gen("a")
+    with pytest.raises(ContextMismatch):
+        c1.gen("a") - c2.gen("a")
+    # rules are checked when set, since d reads their terms directly
+    with pytest.raises(ContextMismatch):
+        c1.set_rule("c", c2.gen("a").wedge(c2.gen("b")))
+    with pytest.raises(ContextMismatch):
+        c1.set_symbol_rule("x", c2.gen("a"))
+    with pytest.raises(ContextMismatch):
+        c1.substitute_generator(c1.gen("c"), "c", c2.gen("a"))
 
 
 def test_coefficient_sign_adjusted():
@@ -171,3 +180,140 @@ def test_eliminate_and_extend():
     assert up(ctx.gen("c")).terms == big.gen("c").terms
     big.set_rule("w", up(ctx.gen("a").wedge(ctx.gen("b"))))
     assert big.gen("w").d() == up(ctx.gen("c")).d()
+
+
+
+def test_equal_forms_hash_equal():
+    x = Scalar.symbol("x")
+    f = CTX.form({("a", "b"): x, ("c",): 2})
+    g = CTX.form({("b", "a"): -x, ("c",): 1}) + CTX.gen("c")
+    assert f == g and hash(f) == hash(g)
+    assert f != g + CTX.gen("a")
+    assert f != heisenberg().form({("a", "b"): x, ("c",): 2})
+
+
+# ---- reference: the compositional definitions that build a Form per step ----
+
+CANCELLED = []  # keys whose partial sum cancelled in a _ref_add
+
+
+def _ref_add(f, g):
+    t = dict(f.terms)
+    for i, c in g.terms.items():
+        s = t.get(i)
+        t[i] = c if s is None else s + c
+        if t[i].is_zero():
+            CANCELLED.append(i)
+    return Form(f.ctx, t)
+
+
+def _ref_scale(f, c):
+    return Form(f.ctx, {i: k * c for i, k in f.terms.items()})
+
+
+def _ref_d_scalar(ctx, c):
+    out = Form(ctx, {})
+    for sym in sorted(c.symbols()):
+        p = c.partial(sym)
+        if not p.is_zero():
+            out = _ref_add(out, _ref_scale(ctx.rules.d_of_symbol[sym], p))
+    return out
+
+
+def _ref_d(f):
+    ctx = f.ctx
+    out = Form(ctx, {})
+    for idx, c in f.terms.items():
+        dc = _ref_d_scalar(ctx, c)
+        if not dc.is_zero():
+            out = _ref_add(out, dc.wedge(Form(ctx, {idx: Scalar.one()})))
+        for pos, gi in enumerate(idx):
+            rule = ctx.d_rule(ctx.generators[gi].name)
+            cc = c if pos % 2 == 0 else -c
+            left = Form(ctx, {idx[:pos]: cc})
+            right = Form(ctx, {idx[pos + 1:]: Scalar.one()})
+            out = _ref_add(out, left.wedge(rule).wedge(right))
+    return out
+
+
+def _ref_form(ctx, terms):
+    out = Form(ctx, {})
+    for names, c in terms.items():
+        f = Form(ctx, {(): Scalar.of(c)})
+        for n in names:
+            f = f.wedge(ctx.gen(n))
+        out = _ref_add(out, f)
+    return out
+
+
+def _ref_substitute_generator(ctx, f, name, replacement):
+    k = ctx.index_of(name)
+    kept, extra = {}, Form(ctx, {})
+    for idx, c in f.terms.items():
+        if k not in idx:
+            kept[idx] = c
+            continue
+        pos = idx.index(k)
+        left = Form(ctx, {idx[:pos]: c})
+        right = Form(ctx, {idx[pos + 1:]: Scalar.one()})
+        extra = _ref_add(extra, left.wedge(replacement).wedge(right))
+    return _ref_add(Form(ctx, kept), extra)
+
+
+def _random_coefficient(rng):
+    c = Scalar.rational(rng.choice([-1, 1, 2]))
+    for _ in range(rng.randint(0, 1)):
+        c = c * Scalar.symbol(rng.choice("xy"))
+    return c
+
+
+def _random_terms(rng, names, degree, count):
+    """Entries for ``form``, in any name order; repeats and zeros included."""
+    out = {}
+    for _ in range(count):
+        mono = tuple(rng.choice(names) for _ in range(degree))
+        out[mono] = _random_coefficient(rng) if rng.random() < 0.9 else 0
+    return out
+
+
+def _curved_context(rng):
+    """Generators with nonclosed rules, two symbols whose rules close up."""
+    names = ["a", "b", "c", "e"]
+    ctx = CoframedContext(names, label="curved")
+    for n in names:
+        ctx.set_rule(n, ctx.form(_random_terms(rng, names, 2, 4)))
+    ctx.set_symbol_rule("x", ctx.form(_random_terms(rng, names, 1, 2)))
+    ctx.set_symbol_rule("y", ctx.form({("a",): Scalar.symbol("x"), ("b",): 1}))
+    return ctx
+
+
+def test_accumulation_matches_the_compositional_reference():
+    """Values and key order of d, d_scalar, form and substitute_generator
+    equal those of the definitions that add one filtered Form per step."""
+    import random
+
+    rng = random.Random(10)
+    cancelled = reentered = 0
+    for _ in range(40):
+        ctx = _curved_context(rng)
+        names = ctx.names()
+        for degree in range(3):
+            terms = _random_terms(rng, names, degree, 5)
+            f = ctx.form(terms)
+            ref = _ref_form(ctx, terms)
+            assert list(f.terms.items()) == list(ref.terms.items())
+            for g in (f, f.d(), f.d() + f):
+                CANCELLED.clear()
+                want = _ref_d(g)
+                assert list(g.d().terms.items()) == list(want.terms.items())
+                # a cancelled key that comes back moves to the end
+                cancelled += bool(CANCELLED)
+                reentered += any(i in want.terms for i in CANCELLED)
+            repl = ctx.form(_random_terms(rng, names, 1, 3))
+            got = ctx.substitute_generator(f, "c", repl)
+            want = _ref_substitute_generator(ctx, f, "c", repl)
+            assert list(got.terms.items()) == list(want.terms.items())
+            for c in f.terms.values():
+                assert (list(ctx.d_scalar(c).terms.items())
+                        == list(_ref_d_scalar(ctx, c).terms.items()))
+    assert cancelled >= 30 and reentered >= 15, (cancelled, reentered)

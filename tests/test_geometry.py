@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+from eds235 import geometry
 from eds235.exterior import eliminate
 from eds235.geometry import (
     CONNECTION,
@@ -247,6 +248,25 @@ class TestReconstruction:
         # the om1p tail of dA5_0 stays the named free symbol).
         assert table.rules["A5_0"]["om1p"] == S("A5_0_1p")
         assert table.rules["A5_0"]["th1"] == S("A5_0_1")
+
+    @pytest.mark.parametrize("coefficient, message", [
+        ("_u_A1_ga12^2", "nonlinear"),
+        ("A2*_u_A1_ga12", "nonlinear"),
+        ("_u_A1_ze1", "unknown _u_A1_ze1 of another block"),
+    ])
+    def test_bad_block_coefficient_is_inconsistent(self, monkeypatch,
+                                                   coefficient, message):
+        """A slot with one connection generator must be linear in that
+        generator's unknowns; th1^th2^ga12 is a slot of the ga12 block."""
+        d_squared = geometry._d_squared
+
+        def corrupted(ctx, name):
+            extra = ctx.form({("th1", "th2", "ga12"): S(coefficient)})
+            return d_squared(ctx, name) + extra
+
+        monkeypatch.setattr(geometry, "_d_squared", corrupted)
+        with pytest.raises(Inconsistent, match=message):
+            geometry._extend_table(DerivativeTable(), CURVATURE_SYMBOLS, ["th1"])
 
     def test_pinned_table_fixture(self):
         with open(os.path.join(FIXTURES, "derivative_table.json")) as fh:

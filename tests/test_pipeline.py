@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from eds235 import pipeline
-from eds235.geometry import Inconsistent, reduce_relations
+from eds235.geometry import CurvatureSpec, Inconsistent, reduce_relations
 from eds235.pipeline import (
     FINAL_CONDITIONS,
     RowMismatch,
@@ -288,24 +288,41 @@ def test_import_derives_nothing():
     code = ("import eds235.pipeline as p, eds235.examples\n"
             "print([f.cache_info().currsize for f in (p.table_reductions, "
             "p.tilde_corrections, p.second_stage_tails, p.reduction_rows, "
-            "p.theorem_rows)])")
+            "p.theorem_rows, p._generic_final_stage)])")
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True)
-    assert out.stdout.strip() == "[0, 0, 0, 0, 0]"
+    assert out.stdout.strip() == "[0, 0, 0, 0, 0, 0]"
 
 
 @pytest.fixture
 def fresh_cascade():
     """Rerun the derivations inside the test and again after it."""
     caches = (pipeline._initial_stage, pipeline.tilde_corrections,
-              pipeline.table_reductions, pipeline.second_stage_tails)
+              pipeline.table_reductions, pipeline._generic_final_stage,
+              pipeline.second_stage_tails)
     for cached in caches:
         cached.cache_clear()
     yield
     for cached in caches:
         cached.cache_clear()
+
+
+def test_generic_final_stage_is_built_once(monkeypatch, fresh_cascade):
+    calls = []
+    final_stage = pipeline._final_stage
+
+    def counted(spec, label):
+        calls.append(label)
+        return final_stage(spec, label)
+
+    monkeypatch.setattr(pipeline, "_final_stage", counted)
+    gens = build_I2()
+    pipeline.second_stage_tails()
+    assert build_I2(CurvatureSpec({})).context is gens.context
+    assert gens.context is pipeline._generic_final_stage().ctx
+    assert calls == ["Vp"]
 
 
 def _corrupt_tilde(monkeypatch, base, gen, extra):
