@@ -13,6 +13,7 @@ flags any transcription error as an inconsistency.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Mapping, Sequence
@@ -509,13 +510,13 @@ def reconstruct_derivatives(
 # curvature specs and public context builders
 # --------------------------------------------------------------------------
 
-_BASES, _SLOT_NAMES = frozenset(CURVATURE_SYMBOLS), frozenset(SLOTS)
+_CURVATURE_SYMBOL = re.compile("(?:{})(?:_(?:{}))*".format(
+    "|".join(map(re.escape, CURVATURE_SYMBOLS)), "|".join(map(re.escape, SLOTS))))
 
 
 def _is_curvature_symbol(name: str) -> bool:
     """A base of CURVATURE_SYMBOLS followed by derivative slots of SLOTS."""
-    base, *slots = name.split("_")
-    return base in _BASES and _SLOT_NAMES.issuperset(slots)
+    return _CURVATURE_SYMBOL.fullmatch(name) is not None
 
 
 @dataclass

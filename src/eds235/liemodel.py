@@ -15,7 +15,7 @@ from functools import lru_cache
 from typing import Mapping
 
 from .exterior import CoframedContext, Form
-from .scalar import Scalar, solve_linear
+from .scalar import Scalar, solve_linear, solve_linear_many
 
 Matrix = list  # list[list[Scalar]]
 
@@ -103,22 +103,15 @@ def transpose(a: Matrix) -> Matrix:
 
 
 def mat_inverse(a: Matrix) -> Matrix:
+    """Inverse of a square matrix: one elimination with the identity columns.
+
+    Raises ValueError("singular matrix") when the rank falls short.
+    """
     n = len(a)
-    aug = [list(r) + list(mat_identity(n)[i]) for i, r in enumerate(a)]
-    for col in range(n):
-        piv = next(
-            (r for r in range(col, n) if not aug[r][col].is_zero()), None
-        )
-        if piv is None:
-            raise ValueError("singular matrix")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = aug[col][col].inverse()
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and not aug[r][col].is_zero():
-                f = aug[r][col]
-                aug[r] = [aug[r][k] - f * aug[col][k] for k in range(2 * n)]
-    return [row[n:] for row in aug]
+    sols = solve_linear_many(a, mat_identity(n))
+    if any(sol.rank < n for sol in sols):
+        raise ValueError("singular matrix")
+    return [[sol.particular[i] for sol in sols] for i in range(n)]
 
 
 def exp_nilpotent(x: Matrix) -> Matrix:
@@ -165,15 +158,27 @@ class MatrixLieAlgebra:
         return [c for row in m for c in row]
 
     def coords_of(self, m: Matrix) -> dict:
+        """Nonzero basis coordinates of m; NotInSpan if m is outside the span."""
+        return self.coords_of_many([m])[0]
+
+    def coords_of_many(self, mats) -> list:
+        """Coordinates of each matrix, read from one elimination.
+
+        All matrices share the coordinate system, so its reduction carries
+        one right-hand column per matrix.  NotInSpan if any matrix is
+        outside the span.
+        """
         rows = self._coord_solver()
-        sol = solve_linear(rows, self._flatten(m))
-        if sol.inconsistent or sol.particular is None:
-            raise NotInSpan(f"matrix not in span of {self.name} basis")
-        return {
-            n: sol.particular[i]
-            for i, n in enumerate(self.names)
-            if not sol.particular[i].is_zero()
-        }
+        out = []
+        for sol in solve_linear_many(rows, [self._flatten(m) for m in mats]):
+            if sol.inconsistent:
+                raise NotInSpan(f"matrix not in span of {self.name} basis")
+            out.append({
+                n: sol.particular[i]
+                for i, n in enumerate(self.names)
+                if not sol.particular[i].is_zero()
+            })
+        return out
 
     def element(self, coords: Mapping[str, object]) -> Matrix:
         out = mat_zero(self.size)
@@ -344,16 +349,17 @@ def adjoint_quotient(g: Matrix, algebra: MatrixLieAlgebra) -> Matrix:
     """Induced action of Ad_{g⁻¹} on g/F₀, in the negative basis order.
 
     Right-action convention: adjoint_quotient(g·h) equals
-    adjoint_quotient(h)·adjoint_quotient(g).  Raises
-    NotFiltrationPreserving when Ad_{g⁻¹} moves some basis element below
-    its filtration level.
+    adjoint_quotient(h)·adjoint_quotient(g).  The coordinates of every
+    conjugated basis element come from one ``coords_of_many`` reduction.
+    Raises NotFiltrationPreserving, naming the first basis element in basis
+    order that Ad_{g⁻¹} moves below its filtration level.
     """
     ginv = mat_inverse(g)
     neg = algebra.negative_names()
+    moved = algebra.coords_of_many(
+        [mat_mul(mat_mul(ginv, algebra.basis[n]), g) for n in algebra.names])
     cols = {}
-    for n in algebra.names:
-        moved = mat_mul(mat_mul(ginv, algebra.basis[n]), g)
-        coords = algebra.coords_of(moved)
+    for n, coords in zip(algebra.names, moved):
         lvl = algebra.filtration_level(coords)
         if lvl is not None and lvl < algebra.grading[n]:
             raise NotFiltrationPreserving(

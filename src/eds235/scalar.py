@@ -321,20 +321,37 @@ class Scalar:
         return Scalar(out)
 
     def substitute(self, bindings: Mapping[str, "Scalar"]) -> "Scalar":
-        """Replace the bound symbols by their values; others stay symbolic."""
+        """Replace the bound symbols by their values; others stay symbolic.
+
+        Each term's product is added into one dict, in term order.  A
+        constant value scales the term's coefficient; a zero value drops
+        the term.
+        """
         if not any(name in bindings for m in self.terms for name, _ in m):
             return self
-        total = Scalar.zero()
+        out: dict = {}
         for m, c in self.terms.items():
-            term = Scalar.from_quad(c)
+            product = None  # the term's non-constant factors, in order
             for name, e in m:
                 base = bindings.get(name)
                 if base is None:
                     base = Scalar.symbol(name)
+                bt = base.terms
+                if not bt:
+                    break
+                q = bt.get(_EMPTY) if len(bt) == 1 else None
                 for _ in range(e):
-                    term = term * base
-            total = total + term
-        return total
+                    if q is not None:
+                        c = c * q
+                    else:
+                        product = base if product is None else product * base
+            else:
+                if product is None:
+                    _add_term(out, _EMPTY, c)
+                else:
+                    for m2, c2 in product.terms.items():
+                        _add_term(out, m2, c2 * c)
+        return Scalar(out)
 
     def __str__(self) -> str:
         if not self.terms:
@@ -487,22 +504,45 @@ class LinearSolution:
 def solve_linear(rows: Sequence[Sequence[Scalar]], rhs: Sequence[Scalar]) -> LinearSolution:
     """Solve A x = b exactly over the polynomial ring, with constant divisors.
 
+    The one-column case of ``solve_linear_many``: same pivots, same result.
+    Inconsistency is a reported flag, not an exception, so callers can
+    treat 'no solution' as a computed outcome.
+    """
+    return solve_linear_many(rows, [rhs])[0]
+
+
+def solve_linear_many(rows: Sequence[Sequence[Scalar]],
+                      rhs_columns: Sequence[Sequence[Scalar]]) -> list[LinearSolution]:
+    """Solve A x = b for every column b of ``rhs_columns`` in one elimination.
+
     Gaussian elimination whose pivot is the first nonzero constant entry, in
-    row-major order, of the rows and columns not used yet.  When only
-    non-constant entries are left, the next pivot is the first nonzero one
-    and its ``inverse`` raises NonConstantDivision.  Each row keeps the
-    sorted list of its nonzero columns, recomputed only when an elimination
-    step changes the row, so the pivot search walks nonzero entries instead
-    of rescanning the whole matrix.  Inconsistency is a reported flag, not
-    an exception, so callers can treat 'no solution' as a computed outcome.
+    row-major order, of the rows and left-hand columns not used yet; a
+    right-hand column is never a pivot.  When only non-constant entries are
+    left, the next pivot is the first nonzero one and its ``inverse`` raises
+    NonConstantDivision.  Each row keeps the sorted list of its nonzero
+    left-hand columns, recomputed only when an elimination step changes the
+    row, so the pivot search walks nonzero entries instead of rescanning the
+    whole matrix.  Each row operation updates all right-hand columns, so the
+    pivots do not depend on them and every solution equals the one
+    ``solve_linear`` gives for its column alone.
+
+    The solutions share ``rank``, ``pivot_cols``, ``free_cols`` and
+    ``nullspace``; each has its own ``particular`` and ``inconsistent``.
+    A column whose length is not the number of rows raises ValueError.
     """
     m = len(rows)
-    if len(rhs) != m:
-        raise ValueError(f"linear system has {m} rows but {len(rhs)} right-hand sides")
+    for rhs in rhs_columns:
+        if len(rhs) != m:
+            raise ValueError(
+                f"linear system has {m} rows but {len(rhs)} right-hand sides")
     n = len(rows[0]) if m else 0
-    a = [list(r) + [rhs[i]] for i, r in enumerate(rows)]
+    width = n + len(rhs_columns)
+    a = [list(r) for r in rows]
+    for rhs in rhs_columns:
+        for r, x in zip(a, rhs):
+            r.append(x)
     for r in a:
-        if len(r) != n + 1:
+        if len(r) != width:
             raise ValueError("ragged linear system")
     nonzero = [[j for j in range(n) if not r[j].is_zero()] for r in a]
 
@@ -536,20 +576,11 @@ def solve_linear(rows: Sequence[Sequence[Scalar]], rhs: Sequence[Scalar]) -> Lin
         for i in range(m):
             if i != pi and not a[i][pj].is_zero():
                 f = a[i][pj]
-                a[i] = [a[i][k] - f * a[pi][k] for k in range(n + 1)]
+                a[i] = [a[i][k] - f * a[pi][k] for k in range(width)]
                 nonzero[i] = [j for j in range(n) if not a[i][j].is_zero()]
 
     rank = len(pivots)
-    inconsistent = any(
-        i not in used_rows and not a[i][n].is_zero() for i in range(m)
-    )
-
-    particular: list[Scalar] | None = None
-    if not inconsistent:
-        particular = [Scalar.zero()] * n
-        for (i, j) in pivots:
-            particular[j] = a[i][n]
-
+    pivot_cols = [j for _, j in pivots]
     free_cols = [j for j in range(n) if j not in used_cols]
     nullspace: list[list[Scalar]] = []
     for fc in free_cols:
@@ -559,8 +590,19 @@ def solve_linear(rows: Sequence[Sequence[Scalar]], rhs: Sequence[Scalar]) -> Lin
             vec[j] = -a[i][fc]
         nullspace.append(vec)
 
-    return LinearSolution(rank, particular, nullspace, inconsistent,
-                          [j for _, j in pivots], free_cols)
+    solutions = []
+    for c in range(n, width):
+        inconsistent = any(
+            i not in used_rows and not a[i][c].is_zero() for i in range(m)
+        )
+        particular: list[Scalar] | None = None
+        if not inconsistent:
+            particular = [Scalar.zero()] * n
+            for (i, j) in pivots:
+                particular[j] = a[i][c]
+        solutions.append(LinearSolution(rank, particular, nullspace, inconsistent,
+                                        pivot_cols, free_cols))
+    return solutions
 
 
 def mat_mul_vec(rows: Sequence[Sequence[Scalar]], vec: Sequence[Scalar]) -> list[Scalar]:

@@ -326,6 +326,15 @@ class TestCurvatureSpec:
         with pytest.raises(InconsistentSpec, match=re.escape(repr(relation))):
             CurvatureSpec.from_json(text)
 
+    @pytest.mark.parametrize("name, known", [
+        ("A1", True), ("A1_0_1p", True), ("Dt4_2p", True), ("E_0", True),
+        ("A1_", False), ("A1__0", False), ("_A1", False), ("A1_9", False),
+        ("A1_1p2", False), ("Q9", False), ("a1", False),
+    ])
+    def test_curvature_symbol_names(self, name, known):
+        # the answers of the base-then-slots split of the name at "_"
+        assert geometry._is_curvature_symbol(name) is known
+
     def test_pinned_spec_names_accepted(self):
         for name in ("flat", "d6"):
             with open(os.path.join(SPECS, name + ".json")) as fh:

@@ -348,3 +348,32 @@ class TestTorsion:
         for name in ["pi13_2p", "pi23_1p"]:
             shift = forms[name] - v4.pi_solutions[name]
             assert (shift - v4.ctx.gen("om1p").scale(S("2"))).is_zero()
+
+
+# --- pinned results on seeded points ------------------------------------------
+
+def test_normalize_and_act_match_the_pinned_reference():
+    """Three points of random_integrable(Random(41)), each followed by a
+    random_parabolic_pair from the same generator; the fixture holds every
+    entry as text."""
+    import json
+    from pathlib import Path
+
+    def rows(m):
+        return [[str(c) for c in r] for r in m]
+
+    ref = json.loads(
+        (Path(__file__).parent / "fixtures" / "normalize_seeded.json").read_text())
+    rng = random.Random(41)
+    for want in ref:
+        p = random_integrable(rng)
+        assert rows(p.matrix()) == want["point"]
+        nz = normalize(p)
+        assert rows(nz.point.matrix()) == want["normal_form"]
+        assert rows(nz.g) == want["g"]
+        assert rows(nz.h) == want["h"]
+        assert {k: str(v) for k, v in nz.invariants.items()} == want["invariants"]
+        g, h = random_parabolic_pair(rng)
+        assert (rows(g), rows(h)) == (want["pair_g"], want["pair_h"])
+        assert rows(act(p, g, h).matrix()) == want["act_pair"]
+        assert act(p, nz.g, nz.h, project=True) == nz.point

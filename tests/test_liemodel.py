@@ -224,3 +224,91 @@ def test_check_filtered_morphism_reports():
     images2["om0"] = {"om0": ONE, "th1": ONE, "ga": ONE}
     rep2 = check_filtered_morphism(FilteredMap(m, g2, images2))
     assert not rep2["is_hom"] and rep2["bracket_failures"]
+
+
+def _per_basis_adjoint_quotient(g, alg):
+    """Reference: one coords_of call, so one elimination, per basis element."""
+    ginv = mat_inverse(g)
+    neg = alg.negative_names()
+    cols = {}
+    for n in alg.names:
+        coords = alg.coords_of(mat_mul(mat_mul(ginv, alg.basis[n]), g))
+        lvl = alg.filtration_level(coords)
+        if lvl is not None and lvl < alg.grading[n]:
+            raise NotFiltrationPreserving(n)
+        if n in neg:
+            cols[n] = coords
+    return [[cols[cn].get(rn, Scalar.zero()) for cn in neg] for rn in neg]
+
+
+def test_adjoint_quotient_matches_the_per_basis_reference():
+    rng = random.Random(29)
+    for alg in (g2_model(), sp6_model()):
+        for _ in range(6):
+            g = _random_group_element(alg, rng, k=3)
+            assert adjoint_quotient(g, alg) == _per_basis_adjoint_quotient(g, alg)
+
+
+def test_coords_of_many_reads_each_matrix():
+    rng = random.Random(31)
+    for alg in (g2_model(), sp6_model()):
+        coords = [
+            {n: Scalar.rational(rng.randint(-3, 3)) for n in rng.sample(alg.names, 4)}
+            for _ in range(5)
+        ]
+        mats = [alg.element(c) for c in coords]
+        got = alg.coords_of_many(mats)
+        assert got == [alg.coords_of(m) for m in mats]
+        assert got == [{n: c for n, c in cs.items() if not c.is_zero()} for cs in coords]
+    sp6 = sp6_model()
+    bad = mat_zero(6)
+    bad[0][0] = ONE
+    with pytest.raises(NotInSpan, match="matrix not in span of sp6 basis"):
+        sp6.coords_of_many([sp6.basis["vt11"], bad])
+    assert sp6.coords_of_many([]) == []
+
+
+def _rand_quad_matrix(rng, n):
+    return [
+        [Scalar.rational(rng.randint(-3, 3), rng.randint(1, 3))
+         + Scalar.sqrt7() * Scalar.rational(rng.randint(-2, 2)) for _ in range(n)]
+        for _ in range(n)
+    ]
+
+
+def test_mat_inverse_over_q_sqrt7():
+    rng = random.Random(37)
+    inverted = 0
+    for _ in range(40):
+        n = rng.randint(1, 5)
+        a = _rand_quad_matrix(rng, n)
+        try:
+            inv = mat_inverse(a)
+        except ValueError:
+            continue
+        assert mat_eq(mat_mul(a, inv), mat_identity(n))
+        assert mat_eq(mat_mul(inv, a), mat_identity(n))
+        inverted += 1
+    assert inverted >= 30
+    singular = _rand_quad_matrix(rng, 3)
+    singular[2] = [x + y for x, y in zip(singular[0], singular[1])]
+    with pytest.raises(ValueError, match="singular matrix"):
+        mat_inverse(singular)
+    with pytest.raises(ValueError, match="singular matrix"):
+        mat_inverse(mat_zero(2))
+
+
+@pytest.mark.parametrize("model, name, first", [
+    ("g2", "om0", "Ad moves om1p from degree -1 down to -3"),
+    ("g2", "om1p", "Ad moves om0 from degree -2 down to -3"),
+    ("g2", "th1", "Ad moves ze1 from degree 0 down to -3"),
+    ("sp6", "vt11", "Ad moves et1_1 from degree 0 down to -2"),
+    ("sp6", "vpi13", "Ad moves vpi13p from degree -1 down to -2"),
+])
+def test_filtration_guard_names_the_first_basis_element(model, name, first):
+    alg = {"g2": g2_model, "sp6": sp6_model}[model]()
+    g = exp_nilpotent(alg.basis[name])
+    with pytest.raises(NotFiltrationPreserving, match=f"^{first}$"):
+        adjoint_quotient(g, alg)
+    with pytest.raises(NotFiltrationPreserving):
+        _per_basis_adjoint_quotient(g, alg)

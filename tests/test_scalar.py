@@ -16,6 +16,7 @@ from eds235.scalar import (
     mat_mul_vec,
     rank_of,
     solve_linear,
+    solve_linear_many,
 )
 
 
@@ -350,3 +351,159 @@ def test_solve_linear_pivots_match_the_rescanning_reference():
         outcomes["solved"] += 1
     # both branches of the pivot rule are exercised
     assert min(outcomes.values()) >= 30, outcomes
+
+
+# ---------------------------------------------------------------------------
+# solve_linear_many: one elimination, many right-hand columns
+# ---------------------------------------------------------------------------
+
+def _assert_many_matches_columns(a, columns):
+    got = solve_linear_many(a, columns)
+    assert len(got) == len(columns)
+    for sol, b in zip(got, columns):
+        want = solve_linear(a, b)
+        assert sol.rank == want.rank
+        assert sol.particular == want.particular
+        assert sol.nullspace == want.nullspace
+        assert sol.inconsistent == want.inconsistent
+        assert sol.pivot_cols == want.pivot_cols
+        assert sol.free_cols == want.free_cols
+    return got
+
+
+def test_solve_linear_many_matches_column_by_column():
+    import random
+
+    rng = random.Random(11)
+    seen = {"full_rank": 0, "deficient": 0, "mixed": 0}
+    for _ in range(60):
+        m, n, k = rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 5)
+        a = _rand_matrix(rng, m, n)
+        if rng.random() < 0.4 and m > 1:
+            a[-1] = [x + y for x, y in zip(a[0], a[-1 - (m > 2)])]
+        columns = []
+        for _ in range(k):
+            if rng.random() < 0.7:
+                x = [Scalar.rational(rng.randint(-3, 3)) for _ in range(n)]
+                columns.append(mat_mul_vec(a, x))
+            else:
+                columns.append([Scalar.rational(rng.randint(-3, 3)) for _ in range(m)])
+        got = _assert_many_matches_columns(a, columns)
+        flags = {sol.inconsistent for sol in got}
+        if flags == {True, False}:
+            seen["mixed"] += 1
+        if got[0].rank == min(m, n):
+            seen["full_rank"] += 1
+        else:
+            seen["deficient"] += 1
+    assert min(seen.values()) >= 5, seen
+
+
+def test_solve_linear_many_one_inconsistent_column():
+    one, zero = Scalar.one(), Scalar.zero()
+    a = [[one, one], [one, one], [zero, one]]
+    columns = [[one, one, zero], [zero, one, zero], [Scalar.rational(2)] * 3]
+    got = _assert_many_matches_columns(a, columns)
+    assert [sol.inconsistent for sol in got] == [False, True, False]
+    assert got[1].particular is None
+    assert got[0].particular == [one, zero]
+    assert got[2].particular == [zero, Scalar.rational(2)]
+
+
+def test_solve_linear_many_symbolic_and_sparse_columns():
+    import random
+
+    rng = random.Random(12)
+    solved = 0
+    for _ in range(120):
+        m, n, k = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 4)
+        a = [[_sparse_entry(rng) for _ in range(n)] for _ in range(m)]
+        if any(not x.is_constant() for r in a for x in r):
+            continue
+        columns = [[_sparse_entry(rng) for _ in range(m)] for _ in range(k)]
+        _assert_many_matches_columns(a, columns)
+        solved += 1
+    assert solved >= 30
+
+
+def test_solve_linear_many_guards():
+    one = Scalar.one()
+    with pytest.raises(NonConstantDivision):
+        solve_linear_many([[Scalar.symbol("A3")]], [[one], [Scalar.rational(2)]])
+    with pytest.raises(ValueError, match=r"2 rows but 1 right-hand sides"):
+        solve_linear_many([[one], [one]], [[one, one], [one]])
+    assert solve_linear_many([[one]], []) == []
+
+
+# ---------------------------------------------------------------------------
+# substitute: one accumulating pass against the compositional reference
+# ---------------------------------------------------------------------------
+
+def _compositional_substitute(s, bindings):
+    """Reference: the definition that adds each term's product to a running sum."""
+    if not any(name in bindings for m in s.terms for name, _ in m):
+        return s
+    total = Scalar.zero()
+    for m, c in s.terms.items():
+        term = Scalar.from_quad(c)
+        for name, e in m:
+            base = bindings.get(name)
+            if base is None:
+                base = Scalar.symbol(name)
+            for _ in range(e):
+                term = term * base
+        total = total + term
+    return total
+
+
+def _rand_poly(rng, names, nterms):
+    total = Scalar.zero()
+    for _ in range(nterms):
+        term = Scalar.from_quad(QuadExt.of(rng.choice([-2, -1, 1, 2]), rng.choice([0, 0, 1])))
+        for _ in range(rng.randint(0, 3)):
+            term = term * Scalar.symbol(rng.choice(names))
+        total = total + term
+    return total
+
+
+def test_substitute_matches_the_compositional_reference():
+    import random
+
+    rng = random.Random(13)
+    names = ["A3", "B4", "C2", "E"]
+    seen = {"cancel": 0, "power": 0, "symbolic": 0, "zero": 0, "unbound": 0}
+    for _ in range(300):
+        s = _rand_poly(rng, names, rng.randint(1, 6))
+        bindings = {}
+        for name in rng.sample(names, rng.randint(1, 3)):
+            kind = rng.random()
+            if kind < 0.2:
+                bindings[name] = Scalar.zero()
+            elif kind < 0.5:
+                bindings[name] = Scalar.from_quad(
+                    QuadExt.of(rng.randint(-3, 3), rng.randint(-1, 1)))
+            elif kind < 0.8:
+                bindings[name] = _rand_poly(rng, ["F1", "F2"], rng.randint(1, 2))
+            else:
+                bindings[name] = _rand_poly(rng, names, rng.randint(1, 3))
+        image = _compositional_substitute(Scalar(dict([next(iter(s.terms.items()))])),
+                                          bindings)
+        if rng.random() < 0.6 and not image.symbols() & set(bindings):
+            # an unbound copy of the first term's image: that image cancels
+            s = s - image
+        got, want = s.substitute(bindings), _compositional_substitute(s, bindings)
+        assert got == want
+        assert list(got.terms) == list(want.terms)
+        if any(not v.is_constant() for v in bindings.values()):
+            seen["symbolic"] += 1
+        if any(v.is_zero() for v in bindings.values()):
+            seen["zero"] += 1
+        if s.symbols() - set(bindings):
+            seen["unbound"] += 1
+        if any(e > 1 and name in bindings for m in s.terms for name, e in m):
+            seen["power"] += 1
+        products = {k for m, c in s.terms.items()
+                    for k in _compositional_substitute(Scalar({m: c}), bindings).terms}
+        if products - set(got.terms):
+            seen["cancel"] += 1
+    assert min(seen.values()) >= 20, seen
