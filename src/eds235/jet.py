@@ -661,7 +661,14 @@ def symbol_relations(stage: str) -> list:
     """Linear relations among the solved differential generators.
 
     Coefficient dicts over generator names; the later stages report only
-    relations that are new modulo the first stage.
+    relations that are new modulo the first stage: the kernel relations
+    that are pivot rows of one elimination of the first-stage relations
+    stacked above the kernel.  The first-stage rows are constant and
+    independent, so they are the first pivots.  Where the kernel is
+    constant too (V4), the fresh relations are exactly those outside the
+    span of the ones before them; at V2 and V3 some coefficients are
+    symbolic, and they are still a basis of the kernel modulo the first
+    stage.
     """
     if stage == "V1":
         return _relation_kernel(tableau_forms_on_V1())
@@ -672,13 +679,10 @@ def symbol_relations(stage: str) -> list:
     def vec(rel):
         return [rel.get(n, Scalar.zero()) for n in names]
 
-    old_rows = [vec(r) for r in symbol_relations("V1")]
-    fresh = []
-    for rel in kernel:
-        stacked = old_rows + [vec(r) for r in fresh] + [vec(rel)]
-        if rank_of(stacked) == len(stacked):
-            fresh.append(rel)
-    return fresh
+    stacked = [vec(r) for r in symbol_relations("V1") + kernel]
+    old = len(stacked) - len(kernel)
+    pivots = solve_linear(stacked, [Scalar.zero()] * len(stacked)).pivot_rows
+    return [kernel[i - old] for i in sorted(pivots) if i >= old]
 
 
 # --------------------------------------------------------------------------

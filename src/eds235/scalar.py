@@ -499,6 +499,7 @@ class LinearSolution:
     inconsistent: bool
     pivot_cols: "list[int]"  # in elimination order
     free_cols: "list[int]"
+    pivot_rows: "list[int]"  # in elimination order, parallel to pivot_cols
 
 
 def solve_linear(rows: Sequence[Sequence[Scalar]], rhs: Sequence[Scalar]) -> LinearSolution:
@@ -526,8 +527,12 @@ def solve_linear_many(rows: Sequence[Sequence[Scalar]],
     pivots do not depend on them and every solution equals the one
     ``solve_linear`` gives for its column alone.
 
-    The solutions share ``rank``, ``pivot_cols``, ``free_cols`` and
-    ``nullspace``; each has its own ``particular`` and ``inconsistent``.
+    The solutions share ``rank``, ``pivot_cols``, ``pivot_rows``,
+    ``free_cols`` and ``nullspace``; each has its own ``particular`` and
+    ``inconsistent``.  For a matrix of constants the search takes the rows
+    in index order and skips only those that reduce to zero, so row i is a
+    pivot row exactly when it is not in the span of rows 0..i-1: the rank
+    of ``rows[:r]`` is the number of pivot rows below r.
     A column whose length is not the number of rows raises ValueError.
     """
     m = len(rows)
@@ -580,6 +585,7 @@ def solve_linear_many(rows: Sequence[Sequence[Scalar]],
                 nonzero[i] = [j for j in range(n) if not a[i][j].is_zero()]
 
     rank = len(pivots)
+    pivot_rows = [i for i, _ in pivots]
     pivot_cols = [j for _, j in pivots]
     free_cols = [j for j in range(n) if j not in used_cols]
     nullspace: list[list[Scalar]] = []
@@ -601,7 +607,7 @@ def solve_linear_many(rows: Sequence[Sequence[Scalar]],
             for (i, j) in pivots:
                 particular[j] = a[i][c]
         solutions.append(LinearSolution(rank, particular, nullspace, inconsistent,
-                                        pivot_cols, free_cols))
+                                        pivot_cols, free_cols, pivot_rows))
     return solutions
 
 

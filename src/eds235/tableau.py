@@ -5,6 +5,15 @@ V is spanned by the five source directions (two theta slots, three omega
 slots) and W by the seven target rows.  The operations are Cartan characters
 by flag sampling, exact prolongation, Cartan's involutivity test, and span
 comparison of coordinate families.
+
+Each question is answered by one exact elimination, read through its pivot
+rows.  Tableau entries must be constants: for a matrix of constants the
+elimination takes the rows in index order and skips only the rows that
+reduce to zero, so the pivot rows below r are a basis of the first r rows.
+That one reading gives the ranks of every prefix of a matrix, which is what
+the flag ranks and the basis selection need.  With a symbolic entry the
+pivot search may take a later row first and the reading fails, so tableaux
+refuse non-constant entries.
 """
 
 import random
@@ -30,18 +39,26 @@ def _flatten_matrix(mat) -> list:
     return [Scalar.of(x) for row in mat for x in row]
 
 
+def _constant_matrix(mat, index: int) -> list:
+    """Element ``index`` of a tableau family as a 7x5 matrix of constants."""
+    rows = [[Scalar.of(x) for x in row] for row in mat]
+    if len(rows) != len(W_KEYS) or any(len(r) != len(SLOTS) for r in rows):
+        raise ValueError("tableau elements must be 7x5 matrices")
+    for w, row in zip(W_KEYS, rows):
+        for slot, x in zip(SLOTS, row):
+            if not x.is_constant():
+                raise ValueError(
+                    f"tableau element {index} has the non-constant entry "
+                    f"{x} at ({w}, {slot})"
+                )
+    return rows
+
+
 class LinearTableau:
-    """Span of linearly independent 7x5 matrices inside Hom(V, W)."""
+    """Span of linearly independent 7x5 constant matrices inside Hom(V, W)."""
 
     def __init__(self, basis):
-        mats = []
-        for mat in basis:
-            rows = [[Scalar.of(x) for x in row] for row in mat]
-            if len(rows) != len(W_KEYS) or any(
-                len(r) != len(SLOTS) for r in rows
-            ):
-                raise ValueError("tableau elements must be 7x5 matrices")
-            mats.append(rows)
+        mats = [_constant_matrix(mat, k) for k, mat in enumerate(basis)]
         flats = [_flatten_matrix(m) for m in mats]
         if rank_of(flats) != len(flats):
             raise ValueError("tableau basis is linearly dependent")
@@ -60,26 +77,33 @@ class LinearTableau:
 
     @staticmethod
     def from_spanning(mats) -> "LinearTableau":
-        """Reduce a spanning family to an independent basis, in order."""
-        chosen = []
-        flats = []
-        for mat in mats:
-            candidate = flats + [_flatten_matrix(mat)]
-            if rank_of(candidate) == len(candidate):
-                chosen.append(mat)
-                flats = candidate
-        return LinearTableau(chosen)
+        """Reduce a spanning family to an independent basis, in order.
+
+        Keeps each matrix that is not in the span of the ones before it:
+        the pivot rows of one elimination of the flattened family.
+        """
+        mats = [_constant_matrix(mat, k) for k, mat in enumerate(mats)]
+        flats = [_flatten_matrix(m) for m in mats]
+        pivots = solve_linear(flats, [Scalar.zero()] * len(flats)).pivot_rows
+        return LinearTableau([mats[i] for i in sorted(pivots)])
 
 
 def _flag_rank_sums(tableau: LinearTableau, flag) -> list:
-    """Rank of evaluation on the first k flag vectors, for k = 1..5."""
-    rows = [
+    """Rank of evaluation on the first k flag vectors, for k = 1..5.
+
+    One elimination of the 35 x dim evaluation matrix, whose row (k, w)
+    holds the W-component w of every tableau element applied to flag
+    vector k.  The rank on the first k vectors is the rank of its first 7k
+    rows, which for constant entries is the number of pivot rows below 7k.
+    """
+    values = [
         [x for v in flag for x in mat_mul_vec(mat, v)] for mat in tableau.basis
     ]
+    rows = [list(col) for col in zip(*values)]
+    pivots = solve_linear(rows, [Scalar.zero()] * len(rows)).pivot_rows
     width = len(W_KEYS)
     return [
-        rank_of([row[: width * k] for row in rows])
-        for k in range(1, len(SLOTS) + 1)
+        sum(i < width * k for i in pivots) for k in range(1, len(SLOTS) + 1)
     ]
 
 
@@ -92,6 +116,11 @@ def _increments(sums) -> tuple:
 def cartan_characters(tableau: LinearTableau, trials: int = 12,
                       seed: int = 0, flag: str = "graded") -> tuple:
     """Cartan characters of the tableau.
+
+    The characters are the increments of the flag ranks: the rank of
+    evaluating the tableau on the first k flag vectors, k = 1..5.  Each
+    flag costs one elimination (``_flag_rank_sums``), exact because the
+    tableau and the flag are constant.
 
     With flag="graded" (the default) the characters are read off the
     ordered coordinate flag of the five graded source directions, which is
@@ -178,17 +207,23 @@ class SymTensor:
 
 
 class ProlongationSpace:
-    """Basis of the first prolongation of a tableau."""
+    """Basis of the first prolongation of a tableau.
+
+    Every contraction of every basis tensor must lie in the tableau.  One
+    rank checks them all: the tableau basis together with all 5 * len(basis)
+    contractions spans no more than the tableau exactly when each
+    contraction is in it.
+    """
 
     def __init__(self, tableau: LinearTableau, basis):
-        for t in basis:
-            for slot in SLOTS:
-                if not tableau.contains(t.contract(slot)):
-                    raise ValueError(
-                        "prolongation element leaves the tableau"
-                    )
+        basis = list(basis)
+        contractions = [
+            _flatten_matrix(t.contract(slot)) for t in basis for slot in SLOTS
+        ]
+        if rank_of(tableau.flats() + contractions) != tableau.dim:
+            raise ValueError("prolongation element leaves the tableau")
         self.tableau = tableau
-        self.basis = list(basis)
+        self.basis = basis
 
     @property
     def dim(self) -> int:

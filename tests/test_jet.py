@@ -229,6 +229,36 @@ class TestSymbolRelations:
         assert len(symbol_relations("V1")) == 9
         assert len(symbol_relations("V4")) == 3
 
+    def test_relations_by_value(self):
+        def texts(stage):
+            return [{n: str(c) for n, c in rel.items()}
+                    for rel in symbol_relations(stage)]
+
+        assert texts("V1") == [
+            {"pi22_2": "1"},
+            {"pi13_1p": "1"},
+            {"pi11_1": "-3/2", "pi13p_1p": "1"},
+            {"pi11_2": "-3/2", "pi13_0": "1", "pi13p_2p": "1"},
+            {"pi22_1": "-3/2", "pi23_0": "1"},
+            {"pi13_2p": "-1", "pi23_1p": "1"},
+            {"pi23_2p": "1"},
+            {"pi12_1": "-3", "pi13_0": "1", "pi23p_1p": "1"},
+            {"pi12_2": "-3", "pi22_1": "3/2", "pi23p_2p": "1"},
+        ]
+        # the middle stages' kernels carry symbolic coefficients
+        assert texts("V2") == [
+            {"pi23_2": "1", "pi22_1": "-3/2*H13_2", "pi13_2p": "-H23p_2"},
+        ]
+        assert texts("V3") == [
+            {"pi23_2": "1", "pi13_2p": "-H23p_2"},
+            {"pi13_2": "-1/2", "pi23p_0": "1/4", "pi23_1": "1"},
+        ]
+        assert texts("V4") == [
+            {"pi23p_2": "1"},
+            {"pi23_2": "1"},
+            {"pi13_2": "-1/2", "pi23p_0": "1/4", "pi23_1": "1"},
+        ]
+
     def test_first_locus_identities(self):
         v1 = stage_context("V1")
         displayed = [

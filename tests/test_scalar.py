@@ -317,7 +317,8 @@ def _rescanning_solve_linear(rows, rhs):
             vec[j] = -a[i][fc]
         nullspace.append(vec)
     return LinearSolution(len(pivots), particular, nullspace, inconsistent,
-                          [j for _, j in pivots], free_cols)
+                          [j for _, j in pivots], free_cols,
+                          [i for i, _ in pivots])
 
 
 def _sparse_entry(rng):
@@ -368,6 +369,7 @@ def _assert_many_matches_columns(a, columns):
         assert sol.inconsistent == want.inconsistent
         assert sol.pivot_cols == want.pivot_cols
         assert sol.free_cols == want.free_cols
+        assert sol.pivot_rows == want.pivot_rows
     return got
 
 
@@ -433,6 +435,37 @@ def test_solve_linear_many_guards():
     with pytest.raises(ValueError, match=r"2 rows but 1 right-hand sides"):
         solve_linear_many([[one], [one]], [[one, one], [one]])
     assert solve_linear_many([[one]], []) == []
+
+
+def test_pivot_rows_give_the_rank_of_every_row_prefix():
+    import random
+
+    rng = random.Random(14)
+    seen = {"skipped_row": 0, "full_rank": 0}
+    for _ in range(80):
+        m, n = rng.randint(1, 8), rng.randint(1, 6)
+        rows = [
+            [Scalar.zero() if rng.random() < 0.4 else
+             Scalar.from_quad(QuadExt.of(Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
+                                         rng.randint(-1, 1)))
+             for _ in range(n)]
+            for _ in range(m)
+        ]
+        if m > 2 and rng.random() < 0.5:
+            # a row in the span of two earlier ones
+            c = Scalar.from_quad(QuadExt.of(rng.randint(-2, 2), rng.randint(-1, 1)))
+            k = rng.randint(2, m - 1)
+            rows[k] = [x + c * y for x, y in zip(rows[0], rows[1])]
+        sol = solve_linear(rows, [Scalar.zero()] * m)
+        assert sol.pivot_rows == sorted(sol.pivot_rows)
+        assert len(sol.pivot_rows) == len(sol.pivot_cols) == sol.rank
+        for r in range(m + 1):
+            assert sum(i < r for i in sol.pivot_rows) == rank_of(rows[:r])
+        if len(sol.pivot_rows) < m:
+            seen["skipped_row"] += 1
+        if sol.rank == min(m, n):
+            seen["full_rank"] += 1
+    assert min(seen.values()) >= 10, seen
 
 
 # ---------------------------------------------------------------------------

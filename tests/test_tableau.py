@@ -2,8 +2,9 @@ import random
 
 import pytest
 
+from eds235 import tableau
 from eds235.jet import linearized_tableau
-from eds235.scalar import Scalar
+from eds235.scalar import QuadExt, Scalar, mat_mul_vec, rank_of
 from eds235.tableau import (
     DimensionMismatch,
     LinearTableau,
@@ -97,6 +98,15 @@ class TestLinearTableau:
         A = LinearTableau.from_spanning([m1, m2, m3])
         assert A.dim == 2
         assert A.contains(m3)
+
+    def test_non_constant_entry_rejected(self):
+        m = mat(("1", "11", "1"))
+        bad = mat(("1", "12", "2"))
+        bad[ROW["23p"]][COL["0"]] = S("A3")
+        with pytest.raises(ValueError, match=r"element 1 .*A3 at \(23p, 0\)"):
+            LinearTableau([m, bad])
+        with pytest.raises(ValueError, match=r"element 2 .*A3 at \(23p, 0\)"):
+            LinearTableau.from_spanning([m, m, bad])
 
     def test_derived_tableau_matches_reference(self):
         A = linearized_tableau()
@@ -217,6 +227,149 @@ class TestInvolutivity:
         assert report["required"] == 105
         assert report["actual"] == 105
         assert report["involutive"] is True
+
+
+# ---------------------------------------------------------------------------
+# one elimination per question against the per-rank definitions
+# ---------------------------------------------------------------------------
+
+def _flat(m):
+    return [x for row in m for x in row]
+
+
+def _reference_flag_rank_sums(A, flag):
+    """One rank per prefix of the flag, on the evaluation columns."""
+    rows = [[x for v in flag for x in mat_mul_vec(m, v)] for m in A.basis]
+    width = len(W_KEYS)
+    return [
+        rank_of([row[: width * k] for row in rows])
+        for k in range(1, len(SLOTS) + 1)
+    ]
+
+
+def _reference_from_spanning(mats):
+    """Greedy: keep a matrix when it raises the rank of the ones kept."""
+    chosen, flats = [], []
+    for m in mats:
+        candidate = flats + [_flat(m)]
+        if rank_of(candidate) == len(candidate):
+            chosen.append(m)
+            flats = candidate
+    return chosen
+
+
+def _reference_contractions_inside(A, tensors):
+    """One membership test per contraction."""
+    return all(A.contains(t.contract(slot)) for t in tensors for slot in SLOTS)
+
+
+def _coordinate_flag():
+    return [
+        [Scalar.one() if j == k else Scalar.zero() for j in range(len(SLOTS))]
+        for k in range(len(SLOTS))
+    ]
+
+
+def _rand_constant(rng):
+    if rng.random() < 0.8:
+        return Scalar.rational(rng.randint(-3, 3), rng.randint(1, 2))
+    return Scalar.from_quad(QuadExt.of(rng.randint(-2, 2), rng.randint(-1, 1)))
+
+
+def _rand_tensor(rng):
+    return SymTensor.from_entries({
+        (rng.choice(W_KEYS), rng.choice(SLOTS), rng.choice(SLOTS)):
+            _rand_constant(rng)
+        for _ in range(rng.randint(2, 5))
+    })
+
+
+def _with_dependents(rng, mats):
+    """The family with a few combinations of its members inserted."""
+    family = list(mats)
+    for _ in range(rng.randint(1, 3)):
+        if not family:
+            break
+        a, b = rng.choice(family), rng.choice(family)
+        c = _rand_constant(rng)
+        combo = [[x + c * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+        family.insert(rng.randint(0, len(family)), combo)
+    return family
+
+
+def _assert_matches_reference(A, rng, monkeypatch, trials=12):
+    flags = [_coordinate_flag()] + [
+        [[_rand_constant(rng) for _ in SLOTS] for _ in SLOTS]
+    ]
+    for flag in flags:
+        assert tableau._flag_rank_sums(A, flag) == \
+            _reference_flag_rank_sums(A, flag)
+    got = [cartan_characters(A, trials=trials, flag=f)
+           for f in ("graded", "generic")]
+    with monkeypatch.context() as m:
+        m.setattr(tableau, "_flag_rank_sums", _reference_flag_rank_sums)
+        want = [cartan_characters(A, trials=trials, flag=f)
+                for f in ("graded", "generic")]
+    assert got == want
+    family = _with_dependents(rng, A.basis)
+    assert LinearTableau.from_spanning(family).basis == \
+        _reference_from_spanning(family)
+
+
+def _assert_prolongation_matches_reference(A):
+    """The one-rank check accepts the prolongation basis and rejects it
+    with the first unit tensor the reference finds outside appended."""
+    P = prolong(A)
+    assert _reference_contractions_inside(A, P.basis)
+    units = (SymTensor.from_entries({(w, s, s): 1}) for w in W_KEYS for s in SLOTS)
+    outside = next(t for t in units if not _reference_contractions_inside(A, [t]))
+    with pytest.raises(ValueError, match="leaves the tableau"):
+        ProlongationSpace(A, P.basis + [outside])
+    return P
+
+
+class TestOneEliminationPerQuestion:
+    def test_named_tableaux(self, monkeypatch):
+        rng = random.Random(41)
+        derived = linearized_tableau()
+        for A in (reference_tableau(), LinearTableau(unit_matrices()),
+                  LinearTableau([]), derived):
+            _assert_matches_reference(A, rng, monkeypatch)
+        assert [_assert_prolongation_matches_reference(A).dim for A in (
+            reference_tableau(), LinearTableau([]), derived
+        )] == [18, 0, 18]
+
+    def test_seeded_random_tableaux(self, monkeypatch):
+        # tableaux spanned by the contractions of one or two sparse
+        # symmetric tensors, so the prolongation is never zero
+        rng = random.Random(43)
+        seen = set()
+        for _ in range(20):
+            tensors = [_rand_tensor(rng) for _ in range(rng.randint(1, 2))]
+            mats = [t.contract(s) for t in tensors for s in SLOTS]
+            A = LinearTableau.from_spanning(mats)
+            assert A.basis == _reference_from_spanning(mats)
+            _assert_matches_reference(A, rng, monkeypatch, trials=4)
+            P = _assert_prolongation_matches_reference(A)
+            assert P.dim >= 1
+            seen.add(cartan_characters(A))
+        assert len(seen) >= 10, seen
+
+    def test_tensor_outside_the_prolongation_is_rejected(self):
+        A = reference_tableau()
+        P = prolong(A)
+        bad = SymTensor.from_entries({("12", "1", "1"): 1})
+        assert not _reference_contractions_inside(A, [bad])
+        with pytest.raises(ValueError, match="leaves the tableau"):
+            ProlongationSpace(A, P.basis + [bad])
+        # a prolongation element with one entry added: only its slot-0
+        # contraction leaves the tableau
+        near = SymTensor.from_entries(
+            {**PROLONGATION_BASIS[0], ("12", "0", "0"): 1})
+        assert not _reference_contractions_inside(A, [near])
+        with pytest.raises(ValueError, match="leaves the tableau"):
+            ProlongationSpace(A, P.basis[1:] + [near])
+        assert ProlongationSpace(A, P.basis).dim == 18
 
 
 class TestCompareSpan:
