@@ -104,9 +104,9 @@ def derivative_symbol_closure() -> list:
     for sym, v in full.items():
         syms.add(sym)
         syms |= set(v.symbols())
-    for sym, v in pipeline.FINAL_CONDITIONS.items():
+    for sym, v in pipeline.final_conditions().items():
         syms.add(sym)
-        syms |= set(Scalar.parse(v).symbols())
+        syms |= set(v.symbols())
     return sorted(syms)
 
 

@@ -618,8 +618,3 @@ def build_N_context(label: str = "N") -> CoframedContext:
     for name, rule in mc_rules(alg, ctx).items():
         ctx.set_rule(name, rule)
     return ctx
-
-
-def torsion_coefficient(ctx: CoframedContext, gen: str, pair: tuple) -> Scalar:
-    """Structure-equation coefficient of a wedge pair, sign-adjusted."""
-    return ctx.d_rule(gen).coefficient(list(pair))

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from typing import Mapping, Sequence
 
 from .exterior import CoframedContext, Form, eliminate, reindex
@@ -25,6 +27,7 @@ from .geometry import (
     N_OMEGA_I_I,
     SB_OF_SLOT,
     SLOTS,
+    Inconsistent,
     build_N_context,
     build_M_context,
     omega_entry,
@@ -43,6 +46,7 @@ from .liemodel import (
     sp6_model,
 )
 from .scalar import Scalar, rank_of, solve_linear
+from .tableau import LinearTableau
 
 ROW_KEYS = AB_KEYS + I_KEYS
 ROW_INDEX = {k: i for i, k in enumerate(ROW_KEYS)}
@@ -232,8 +236,6 @@ def random_parabolic_pair(rng: random.Random):
 
 
 def _rand_frac(rng):
-    from fractions import Fraction
-
     num = rng.choice([x for x in range(-5, 6) if x != 0])
     den = rng.randint(1, 4)
     return Fraction(num, den)
@@ -530,13 +532,6 @@ V1_BINDINGS = {
     "H13p_2": "0",
 }
 
-STAGE_BINDINGS = {
-    "V1": {},
-    "V2": {"H23_2": "0"},
-    "V3": {"H13_2": "0"},
-    "V4": {"H23p_2": "0"},
-}
-
 STAGE_ORDER = ["V1", "V2", "V3", "V4"]
 
 
@@ -550,11 +545,15 @@ def normal_form_point(h13_2="0", h23_2="0", h23p_2="0") -> JetPoint:
 
 @lru_cache(maxsize=None)
 def stage_context(stage: str) -> JetContext:
+    """The jet context on one of the loci in STAGE_ORDER.
+
+    V1 binds V1_BINDINGS.  Each later locus binds, on the locus before it,
+    the coordinate that its integrability step forces to vanish.
+    """
     if stage == "V1":
         return bind_H(build_jet_context(), V1_BINDINGS, label="V1")
-    i = STAGE_ORDER.index(stage)
-    prev = stage_context(STAGE_ORDER[i - 1])
-    return bind_H(prev, STAGE_BINDINGS[stage], label=stage)
+    prev = stage_context(STAGE_ORDER[STAGE_ORDER.index(stage) - 1])
+    return bind_H(prev, _integrability_step(stage).binding, label=stage)
 
 
 def tableau_forms_on_V1() -> dict:
@@ -596,8 +595,6 @@ def _span_columns(deg: int, two_forms: Sequence[Form], support) -> list:
     absent from every slot of the target could only produce terms that
     cancel among themselves.
     """
-    from itertools import combinations
-
     columns = []
     for g in two_forms:
         if deg == 2:
@@ -710,62 +707,55 @@ class IntegrabilityStep:
 
 
 def higher_integrability() -> list:
-    """Derive the bindings that cut the second, third and fourth loci.
+    """The steps that cut the second, third and fourth loci.
 
-    Each step reduces an exterior-derivative combination modulo the contact
+    Each step is computed once, on the locus before it, and
+    ``stage_context`` binds the coordinate it forces.
+    """
+    return [_integrability_step(stage) for stage in STAGE_ORDER[1:]]
+
+
+@lru_cache(maxsize=None)
+def _integrability_step(stage: str) -> IntegrabilityStep:
+    """The step that cuts ``stage`` (V2, V3 or V4) out of the locus before it.
+
+    It reduces an exterior-derivative combination modulo the contact
     system (plus stated 1- and 2-forms) and reads off the coordinate whose
     vanishing is forced on integral sections.
     """
-    steps = []
-
-    v1 = stage_context("V1")
-    r = contact_quotient(v1, d_contact(v1, "22"), kill=["th1", "om0"])
-    coeff = r.coefficient(["th2", "om1p"])
-    if not (r - (v1.ctx.gen("th2") ^ v1.ctx.gen("om1p")).scale(coeff)).is_zero():
-        raise AssertionError("unexpected residual shape at stage two")
-    steps.append(IntegrabilityStep("V2", r, coeff, _forced_binding(coeff)))
-
-    v2 = stage_context("V2")
-    ctx = v2.ctx
+    prev = stage_context(STAGE_ORDER[STAGE_ORDER.index(stage) - 1])
+    ctx = prev.ctx
     th1, th2 = ctx.gen("th1"), ctx.gen("th2")
     om0, om1p, om2p = ctx.gen("om0"), ctx.gen("om1p"), ctx.gen("om2p")
-    f2 = shift_form(v2)
-    comb = (
-        d_contact(v2, "23p").wedge(th1).wedge(th2).scale(Scalar.rational(4))
-        + d_contact(v2, "12").wedge(th1).wedge(om2p).scale(Scalar.rational(18))
-        - d_contact(v2, "12").wedge(th2).wedge(om1p).scale(Scalar.rational(12))
-        - d_contact(v2, "11").wedge(th1).wedge(om1p).scale(Scalar.rational(3))
-        + f2.d().wedge(th2)
-    )
+    if stage == "V2":
+        r = contact_quotient(prev, d_contact(prev, "22"), kill=["th1", "om0"])
+        coeff = r.coefficient(["th2", "om1p"])
+        if not (r - (th2 ^ om1p).scale(coeff)).is_zero():
+            raise AssertionError("unexpected residual shape at stage two")
+        return IntegrabilityStep(stage, r, coeff, _forced_binding(coeff))
+    shift = shift_form(prev)
+    if stage == "V3":
+        kill, monomial = ["om0"], ("th1", "th2", "om1p", "om2p")
+        comb = (
+            d_contact(prev, "23p").wedge(th1).wedge(th2).scale(Scalar.rational(4))
+            + d_contact(prev, "12").wedge(th1).wedge(om2p).scale(Scalar.rational(18))
+            - d_contact(prev, "12").wedge(th2).wedge(om1p).scale(Scalar.rational(12))
+            - d_contact(prev, "11").wedge(th1).wedge(om1p).scale(Scalar.rational(3))
+            + shift.d().wedge(th2)
+        )
+    else:
+        kill, monomial = ["om1p"], ("th1", "th2", "om0", "om2p")
+        comb = (
+            d_contact(prev, "12").wedge(th1).wedge(om2p).scale(Scalar.rational(3))
+            + d_contact(prev, "13").wedge(th1).wedge(om0).scale(Scalar.rational(2))
+            + d_contact(prev, "23").wedge(th2).wedge(om0).scale(Scalar.rational(4))
+            + d_contact(prev, "23p").wedge(th1).wedge(th2)
+        )
     coeff = _two_form_residual_coefficient(
-        v2, comb, kill=["om0"],
-        two_forms=[f2, d_contact(v2, "22")],
-        monomial=("th1", "th2", "om1p", "om2p"),
-    )
-    steps.append(IntegrabilityStep(
-        "V3", contact_quotient(v2, comb, kill=["om0"]), coeff,
-        _forced_binding(coeff)))
-
-    v3 = stage_context("V3")
-    ctx = v3.ctx
-    th1, th2, om0 = ctx.gen("th1"), ctx.gen("th2"), ctx.gen("om0")
-    om2p = ctx.gen("om2p")
-    f3 = shift_form(v3)
-    comb = (
-        d_contact(v3, "12").wedge(th1).wedge(om2p).scale(Scalar.rational(3))
-        + d_contact(v3, "13").wedge(th1).wedge(om0).scale(Scalar.rational(2))
-        + d_contact(v3, "23").wedge(th2).wedge(om0).scale(Scalar.rational(4))
-        + d_contact(v3, "23p").wedge(th1).wedge(th2)
-    )
-    coeff = _two_form_residual_coefficient(
-        v3, comb, kill=["om1p"],
-        two_forms=[f3, d_contact(v3, "22")],
-        monomial=("th1", "th2", "om0", "om2p"),
-    )
-    steps.append(IntegrabilityStep(
-        "V4", contact_quotient(v3, comb, kill=["om1p"]), coeff,
-        _forced_binding(coeff)))
-    return steps
+        prev, comb, kill=kill, two_forms=[shift, d_contact(prev, "22")],
+        monomial=monomial)
+    return IntegrabilityStep(stage, contact_quotient(prev, comb, kill=kill),
+                             coeff, _forced_binding(coeff))
 
 
 def _forced_binding(coeff: Scalar) -> dict:
@@ -819,7 +809,11 @@ TORSION_ABSORPTION = {"pi13_2p": [("2", "om1p")], "pi23_1p": [("2", "om1p")]}
 
 
 def absorbed_tableau_forms(jet: JetContext | None = None) -> dict:
-    """Tableau forms on the final locus with remaining torsion absorbed."""
+    """Tableau forms on the final locus with remaining torsion absorbed.
+
+    The TORSION_ABSORPTION shifts must leave no ``remaining_torsion``; a
+    contact row that keeps some raises Inconsistent naming the row.
+    """
     if jet is None:
         jet = stage_context("V4")
     forms = dict(jet.pi_solutions)
@@ -828,6 +822,10 @@ def absorbed_tableau_forms(jet: JetContext | None = None) -> dict:
         for coeff, gen in shifts:
             f = f + jet.ctx.gen(gen).scale(Scalar.parse(coeff))
         forms[name] = f
+    left = remaining_torsion(jet, forms)
+    if left:
+        row = next(iter(left))
+        raise Inconsistent(f"torsion left in row {row}: {left[row]}")
     return forms
 
 
@@ -838,8 +836,6 @@ def linearized_tableau():
     coefficients across the absorbed tableau forms; their span is the
     linearized tableau, read off pointwise.
     """
-    from .tableau import LinearTableau
-
     jet = stage_context("V4")
     ctx = jet.ctx
     forms = absorbed_tableau_forms(jet)

@@ -15,7 +15,7 @@ from functools import lru_cache
 from typing import Mapping
 
 from .exterior import CoframedContext, Form
-from .scalar import Scalar, solve_linear, solve_linear_many
+from .scalar import Scalar, solve_linear_many
 
 Matrix = list  # list[list[Scalar]]
 
@@ -84,10 +84,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
                 if not b[t][j].is_zero():
                     out[i][j] = out[i][j] + ait * b[t][j]
     return out
-
-
-def mat_eq(a: Matrix, b: Matrix) -> bool:
-    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
 def mat_is_zero(a: Matrix) -> bool:
@@ -312,37 +308,6 @@ def growth_vector(gn: GradedNilpotent) -> tuple:
             f"degree -1 part generates only {dims[-1]} of {len(names)} dims"
         )
     return tuple(dims)
-
-
-def levi_kernel(algebra: MatrixLieAlgebra, level: int) -> list:
-    """Kernel of the bracket Λ²F → g₋/F for F = span of degrees ≥ level.
-
-    Both endpoints are taken inside the negative part.  Returns a basis,
-    each element a dict {(name_i, name_j): Scalar} over i<j pairs of F.
-    """
-    neg = algebra.negative_names()
-    f_names = [n for n in neg if algebra.grading[n] >= level]
-    quot = [n for n in neg if algebra.grading[n] < level]
-    pairs = [
-        (f_names[i], f_names[j])
-        for i in range(len(f_names))
-        for j in range(i + 1, len(f_names))
-    ]
-    # rows: quotient coordinates of [x_i, x_j]
-    rows = []
-    for q in quot:
-        row = []
-        for (a, b) in pairs:
-            br = algebra.bracket_coords({a: Scalar.one()}, {b: Scalar.one()})
-            row.append(br.get(q, Scalar.zero()))
-        rows.append(row)
-    if not rows:
-        rows = [[Scalar.zero()] * len(pairs)]
-    sol = solve_linear(rows, [Scalar.zero()] * len(rows))
-    out = []
-    for vec in sol.nullspace:
-        out.append({pairs[i]: c for i, c in enumerate(vec) if not c.is_zero()})
-    return out
 
 
 def adjoint_quotient(g: Matrix, algebra: MatrixLieAlgebra) -> Matrix:

@@ -1,16 +1,21 @@
 """Prolongation ideal, reduction cascade, obstructions, embeddability verdict.
 
 The embedding system on the 35-dimensional product locus is prolonged by 18
-fibre coordinates (the entries of a symmetric-tensor family parameterizing
-the prolongation space).  The contact and prolongation forms span the
-prolonged ideal; solving that span for its pivots gives the 14 corrected
-connection forms.  A staged cascade of exterior-derivative computations on
-them binds all 18 coordinates to curvature expressions and absorbs five
-coframe freedoms: each row's residual torsion is solved for the coordinates
-it forces, and what is left must lie on the direction the row absorbs.  The
-tails of the five second-stage forms are read off their congruences.  The
-surviving ideal has 26 generators; those of its connection forms that live
-on the base give the reduction rows.  Its Frobenius obstructions split into
+fibre coordinates, read off the first prolongation of the linearized
+tableau of the final jet locus V4 (``prolongation``): they are the pivot
+entries of its basis tensors, and every entry of the generic prolongation
+tensor is linear in them.  The 14 prolongation forms sit at the pivot rows
+of the tableau: each is an absorbed tableau form plus its tail, the generic
+tensor contracted with the semibasic coframe.  The seven contact forms are
+those of V4.  The contact and prolongation forms span the prolonged ideal;
+solving that span for its pivots gives the 14 corrected connection forms.
+A staged cascade of exterior-derivative computations on them binds all 18
+coordinates to curvature expressions and absorbs five coframe freedoms:
+each row's residual torsion is solved for the coordinates it forces, and
+what is left must lie on the direction the row absorbs.  The tails of the
+five second-stage forms are read off their congruences.  The surviving
+ideal has 26 generators; those of its connection forms that live on the
+base give the reduction rows.  Its Frobenius obstructions split into
 consequences of the connection reduction, two scalar conditions on
 curvature derivatives, and three rows left unresolved.  Everything is
 exact, and a row that does not come out aborts with its name and the
@@ -28,6 +33,7 @@ from .geometry import (
     AB_KEYS,
     CURVATURE_SYMBOLS,
     SB_OF_SLOT,
+    SLOTS,
     CurvatureSpec,
     Inconsistent,
     InconsistentSpec,
@@ -36,10 +42,11 @@ from .geometry import (
     reduce_relations,
     split_symbol,
 )
-from .jet import (H_COLUMNS, ROW_KEYS, STAGE_BINDINGS, V1_BINDINGS, h_name,
+from .jet import (ROW_KEYS, absorbed_tableau_forms, linearized_tableau,
                   pi_name, stage_context)
 from .liemodel import mc_rules, sp6_model
-from .scalar import Scalar, rank_of, solve_linear
+from .scalar import Scalar, mat_mul_vec, rank_of, solve_linear
+from .tableau import SYM_PAIRS, W_KEYS, SymTensor, prolong
 
 
 def _monomial_name(ctx: CoframedContext, idx: tuple) -> str:
@@ -87,19 +94,45 @@ def _saturate(bindings: Mapping[str, Scalar]) -> dict:
 # prolongation coordinates
 # --------------------------------------------------------------------------
 
-# The 18 fibre coordinates of the prolongation space, named p<key>_<slots>:
-# p11_12 sits in W-component "11" at the symmetric slot pair (1,2), while a
-# trailing "p" marks a primed slot (p13_12p = component "13", slots (1,2')).
-P_SYMBOLS = [
-    "p11_11", "p11_12", "p11_22", "p12_11", "p12_12", "p22_11",
-    "p13_11", "p13_12", "p13_10", "p13_12p",
-    "p13p_11", "p13p_12", "p13p_22", "p13p_10", "p13p_20", "p13p_00",
-    "p23_11", "p23p_11",
-]
-
-
 def dp_name(p: str) -> str:
     return "d" + p
+
+
+@lru_cache(maxsize=1)
+def prolongation() -> tuple[tuple, dict]:
+    """The prolongation coordinates and the 14 prolongation forms.
+
+    Both are read off ``prolong(linearized_tableau())``.  The coordinates
+    are the pivot entries (w, si, sj) of the prolongation basis, in index
+    order over W_KEYS x SYM_PAIRS, named p<w>_<si><sj>: p11_12 is component
+    "11" at the slot pair (1, 2), and p13_12p component "13" at (1, 2').
+    One solve writes every entry of the generic prolongation tensor as a
+    linear Scalar in them.  The forms, keyed (w, s), are the pivot rows of
+    the tableau's 35 x dim coordinate matrix, in row-major order: each is
+    the absorbed tableau form of (w, s) on V4 plus its tail, the tensor
+    entry (w, s, t) on the semibasic generator of every slot t.  Both
+    matrices are constant, so the pivot rows of one elimination are the
+    first independent rows in index order.
+    """
+    tableau = linearized_tableau()
+    basis = prolong(tableau).basis
+    keys = [(w, si, sj) for w in W_KEYS for si, sj in SYM_PAIRS]
+    rows = [[t.coeff(*k) for t in basis] for k in keys]
+    pivots = sorted(solve_linear(rows, [Scalar.zero()] * len(rows)).pivot_rows)
+    coords = tuple(f"p{w}_{si}{sj}" for w, si, sj in (keys[i] for i in pivots))
+    x = solve_linear([rows[i] for i in pivots],
+                     [Scalar.symbol(p) for p in coords]).particular
+    generic = SymTensor.from_entries(dict(zip(keys, mat_mul_vec(rows, x))))
+    cells = [(w, s) for w in W_KEYS for s in SLOTS]
+    table = [list(col) for col in zip(*tableau.flats())]
+    v4 = stage_context("V4")
+    absorbed = absorbed_tableau_forms(v4)
+    forms = {}
+    for i in sorted(solve_linear(table, [Scalar.zero()] * len(table)).pivot_rows):
+        w, s = cells[i]
+        tail = {SB_OF_SLOT[t]: generic.coeff(w, s, t) for t in SLOTS}
+        forms[(w, s)] = absorbed[pi_name(w, s)] + v4.ctx.form(tail)
+    return coords, forms
 
 
 N_NAMES = sp6_model().names
@@ -131,13 +164,8 @@ class PStage:
     p_values: dict
     label: str = "stage"
 
-    def p(self, name: str) -> Scalar:
-        if name in self.p_values:
-            return self.p_values[name]
-        return Scalar.symbol(name)
-
     def free(self) -> list:
-        return [p for p in P_SYMBOLS if p not in self.p_values]
+        return [p for p in prolongation()[0] if p not in self.p_values]
 
 
 def prolonged_stage(p_values: Mapping[str, Scalar] | None = None,
@@ -150,7 +178,7 @@ def prolonged_stage(p_values: Mapping[str, Scalar] | None = None,
     the curvature derivative rules.
     """
     vals = dict(p_values or {})
-    free = [p for p in P_SYMBOLS if p not in vals]
+    free = [p for p in prolongation()[0] if p not in vals]
     ctx = product_context(m_ctx, extra=[dp_name(p) for p in free], label=label)
     for p in free:
         ctx.set_symbol_rule(p, ctx.gen(dp_name(p)))
@@ -200,65 +228,11 @@ def _contact_target(k: str) -> str:
 
 
 def contact_system(ctx: CoframedContext) -> dict:
-    """The seven contact forms at the normal-form jet fibre point."""
-    h = {k: Scalar.parse(v) for k, v in V1_BINDINGS.items()}
-    for stage in STAGE_BINDINGS.values():
-        h.update({k: Scalar.parse(v) for k, v in stage.items()})
-    out = {}
-    for k in ROW_KEYS:
-        f = ctx.gen(_contact_target(k))
-        for s in H_COLUMNS[k]:
-            c = h[h_name(k, s)]
-            if not c.is_zero():
-                f = f - ctx.gen(SB_OF_SLOT[s]).scale(c)
-        out["Th" + k] = f
-    return out
+    """The seven contact forms at the normal-form jet fibre point: those of
+    the final locus V4, reindexed onto ctx."""
+    return {k: reindex(f, ctx)
+            for k, f in stage_context("V4").contact_forms().items()}
 
-
-# The 14 independent prolongation 1-forms: the solved fibre forms plus the
-# symmetric-tensor tail evaluated on each slot.  Entries are
-# (coefficient, prolongation coordinate or None, semibasic generator).
-THETA_TAILS = {
-    ("11", "1"): [("1", "p11_11", "th1"), ("1", "p11_12", "th2")],
-    ("11", "2"): [("1", "p11_12", "th1"), ("1", "p11_22", "th2")],
-    ("12", "1"): [("1", "p12_11", "th1"), ("1", "p12_12", "th2")],
-    ("12", "2"): [("1", "p12_12", "th1")],
-    ("22", "1"): [("1", "p22_11", "th1")],
-    ("13", "1"): [
-        ("1", "p13_11", "th1"), ("1", "p13_12", "th2"),
-        ("1", "p13_10", "om0"), ("1", "p13_12p", "om2p"),
-    ],
-    ("13p", "1"): [
-        ("1", "p13p_11", "th1"), ("1", "p13p_12", "th2"),
-        ("1", "p13p_10", "om0"), ("3/2", "p11_11", "om1p"),
-        ("3/2", "p11_12", "om2p"), ("-1", "p13_10", "om2p"),
-    ],
-    ("23", "1"): [
-        ("1", "p23_11", "th1"), ("3/2", "p22_11", "om0"),
-        ("1", "p13_12p", "om1p"),
-    ],
-    ("23p", "1"): [
-        ("1", "p23p_11", "th1"), ("2", "p13_12", "om0"),
-        ("-4", "p23_11", "om0"), ("3", "p12_11", "om1p"),
-        ("-1", "p13_10", "om1p"), ("3", "p12_12", "om2p"),
-        ("-3/2", "p22_11", "om2p"),
-    ],
-    ("13", "2"): [("1", "p13_12", "th1"), ("3", "p12_12", "om0")],
-    ("13p", "2"): [
-        ("1", "p13p_12", "th1"), ("1", "p13p_22", "th2"),
-        ("1", "p13p_20", "om0"), ("3/2", "p11_12", "om1p"),
-        ("3/2", "p11_22", "om2p"), ("-3", "p12_12", "om2p"),
-    ],
-    ("13", "0"): [
-        ("1", "p13_10", "th1"), ("3", "p12_12", "th2"),
-        ("4", "p13_12p", "om0"),
-    ],
-    ("13", "2p"): [("2", None, "om1p"), ("1", "p13_12p", "th1")],
-    ("13p", "0"): [
-        ("1", "p13p_10", "th1"), ("1", "p13p_20", "th2"),
-        ("1", "p13p_00", "om0"), ("-4", "p13_12p", "om2p"),
-    ],
-}
 
 # The 14 connection generators the prolonged ideal corrects.  With the seven
 # contact targets they are the pivot columns of the I1 span.
@@ -269,17 +243,10 @@ TILDE_BASES = [
 
 
 def theta_system(stage: PStage) -> dict:
-    """The 14 prolongation forms: solved fibre form plus coordinate tail."""
-    v4 = stage_context("V4")
-    ctx = stage.ctx
-    out = {}
-    for (k, s), entries in THETA_TAILS.items():
-        f = reindex(v4.pi_solutions[pi_name(k, s)], ctx)
-        for coeff, p, gen in entries:
-            c = Scalar.parse(coeff) * (stage.p(p) if p else Scalar.one())
-            f = f + ctx.gen(gen).scale(c)
-        out[f"Th{k}_{s}"] = f
-    return out
+    """The 14 ``prolongation`` forms on the stage's context, named
+    Th<w>_<s>, with the stage's coordinate values substituted."""
+    return {f"Th{w}_{s}": reindex(f, stage.ctx).substitute_scalars(stage.p_values)
+            for (w, s), f in prolongation()[1].items()}
 
 
 @lru_cache(maxsize=1)
@@ -477,7 +444,7 @@ def table_reductions() -> ReductionResult:
         steps.append(ReductionStep(name, bindings, coframe))
     if stage.free():
         raise Inconsistent(f"cascade left free coordinates: {stage.free()}")
-    return ReductionResult(steps, {p: stage.p_values[p] for p in P_SYMBOLS})
+    return ReductionResult(steps, {p: stage.p_values[p] for p in prolongation()[0]})
 
 
 def final_p_values() -> dict:
@@ -842,20 +809,16 @@ def stage1_obstructions(spec: CurvatureSpec | None = None) -> list:
     return _residual_entries("ga12_t^om0+ga02_t^th1", res)
 
 
-# The two scalar conditions on curvature derivatives, as symbol = value.
-FINAL_CONDITIONS = {"A4_1p": "-5*B4", "A5_0_1p": "-21*A5_1"}
-
-
 def partition_final_residuals(entries: list) -> dict:
     """Split raw final residual rows into conditions and leftovers.
 
     The rows on the th1^om1p monomial are the scalar conditions.  Every
     other row goes to ``resolved_by_A41p`` if it vanishes once the A4_1p
-    value of FINAL_CONDITIONS is substituted, and to ``unresolved``
+    value of ``final_conditions`` is substituted, and to ``unresolved``
     otherwise: nothing here decides whether it follows from the conditions
     and their derivatives.
     """
-    cond1 = {"A4_1p": Scalar.parse(FINAL_CONDITIONS["A4_1p"])}
+    cond1 = {"A4_1p": final_conditions()["A4_1p"]}
     out = {"conditions": [], "resolved_by_A41p": [], "unresolved": []}
     for e in entries:
         if e["monomial"] == "th1^om1p":
@@ -868,11 +831,15 @@ def partition_final_residuals(entries: list) -> dict:
 
 
 def final_condition_residuals(spec: CurvatureSpec | None = None) -> list:
-    """The two residuals left once all reduction consequences are imposed."""
-    base = restricted_class_spec()
-    bindings = dict(base.bindings)
-    if spec is not None:
-        bindings.update(spec.bindings)
+    """The two residuals left once all reduction consequences are imposed.
+
+    Those of the generic spec (None) are computed once
+    (``_generic_final_residuals``) and copied.
+    """
+    if spec is None:
+        return [dict(e) for e in _generic_final_residuals()]
+    bindings = dict(restricted_class_spec().bindings)
+    bindings.update(spec.bindings)
     gens = build_I2(CurvatureSpec(bindings=bindings))
     forms = gens.all()
     out = []
@@ -881,6 +848,27 @@ def final_condition_residuals(spec: CurvatureSpec | None = None) -> list:
         r = reduce_mod(f.d(), forms).normal_form
         out.extend(_residual_entries(name, r))
     return out
+
+
+@lru_cache(maxsize=1)
+def _generic_final_residuals() -> tuple:
+    return tuple(final_condition_residuals(CurvatureSpec({})))
+
+
+@lru_cache(maxsize=1)
+def final_conditions() -> dict:
+    """The two scalar conditions on curvature derivatives, {symbol: value}.
+
+    Read off the th1^om1p rows of the generic final residuals, each solved
+    for its pivot by ``reduce_relations``.  A row without a constant pivot
+    raises Inconsistent.
+    """
+    rows = [Scalar.parse(e["coefficient"]) for e in _generic_final_residuals()
+            if e["monomial"] == "th1^om1p"]
+    _, conditions, stuck = reduce_relations(rows)
+    if stuck:
+        raise Inconsistent(f"final conditions without a pivot: {stuck}")
+    return conditions
 
 
 def extract_obstructions(spec: CurvatureSpec | None = None) -> ObstructionReport:
@@ -945,7 +933,7 @@ def _verdict_checks() -> tuple:
 
     reduction holds (symbol - value, failing text) for every first-order
     consequence and identity, sorted by symbol; conditions the same for the
-    two FINAL_CONDITIONS; frobenius the coefficients of the generic
+    two ``final_conditions``; frobenius the coefficients of the generic
     Frobenius residuals.  Built on the first verdict, not at import.
     """
     first, full, _ = reduction_consequences()
@@ -953,8 +941,8 @@ def _verdict_checks() -> tuple:
     checks.update({s: full[s] for s in IDENTITIES if s in full})
     reduction = tuple((Scalar.symbol(s) - v, f"{s} = {v}")
                       for s, v in sorted(checks.items()))
-    conditions = tuple((Scalar.symbol(s) - Scalar.parse(v), f"{s} = {v}")
-                       for s, v in FINAL_CONDITIONS.items())
+    conditions = tuple((Scalar.symbol(s) - v, f"{s} = {v}")
+                       for s, v in final_conditions().items())
     frobenius = tuple(Scalar.parse(c)
                       for _, _, c in generic_frobenius_residuals())
     return reduction, conditions, frobenius

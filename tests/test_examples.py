@@ -5,8 +5,12 @@ import pytest
 
 from eds235.examples import d6_spec, run_examples, write_spec_files
 from eds235.geometry import CurvatureSpec, InconsistentSpec
-from eds235.pipeline import FINAL_CONDITIONS, IDENTITIES, embeddability_verdict
+from eds235.pipeline import IDENTITIES, embeddability_verdict
 from eds235.scalar import Scalar
+
+# The two final conditions, stated here so that collecting the tests below
+# derives nothing; test_pipeline checks them against the derived ones.
+FINAL_CONDITIONS = {"A4_1p": "-5*B4", "A5_0_1p": "-21*A5_1"}
 
 SPECS = os.path.join(os.path.dirname(os.path.dirname(__file__)), "specs")
 

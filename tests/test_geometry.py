@@ -18,7 +18,6 @@ from eds235.geometry import (
     curvature_forms,
     reconstruct_derivatives,
     reduce_relations,
-    torsion_coefficient,
 )
 from eds235.scalar import Scalar
 
@@ -112,11 +111,11 @@ class TestMStructure:
 
     def test_torsion_values(self):
         ctx = self.ctx
-        assert torsion_coefficient(ctx, "th1", ("om0", "om1p")) == S("3")
-        assert torsion_coefficient(ctx, "th2", ("om0", "om2p")) == S("3")
-        assert torsion_coefficient(ctx, "om0", ("om1p", "om2p")) == S("2")
+        assert ctx.d_rule("th1").coefficient(("om0", "om1p")) == S("3")
+        assert ctx.d_rule("th2").coefficient(("om0", "om2p")) == S("3")
+        assert ctx.d_rule("om0").coefficient(("om1p", "om2p")) == S("2")
         # sign-adjusted lookup of a reversed pair
-        assert torsion_coefficient(ctx, "om0", ("om2p", "om1p")) == S("-2")
+        assert ctx.d_rule("om0").coefficient(("om2p", "om1p")) == S("-2")
 
     def test_connection_matrix_blocks(self):
         from eds235 import geometry as geo
@@ -139,10 +138,10 @@ class TestNStructure:
 
     def test_torsion_values(self):
         ctx = self.ctx
-        assert torsion_coefficient(ctx, "vt11", ("vpi13", "vpi13p")) == S("2")
-        assert torsion_coefficient(ctx, "vt22", ("vpi23", "vpi23p")) == S("2")
-        assert torsion_coefficient(ctx, "vt12", ("vpi13", "vpi23p")) == S("1")
-        assert torsion_coefficient(ctx, "vt12", ("vpi23", "vpi13p")) == S("1")
+        assert ctx.d_rule("vt11").coefficient(("vpi13", "vpi13p")) == S("2")
+        assert ctx.d_rule("vt22").coefficient(("vpi23", "vpi23p")) == S("2")
+        assert ctx.d_rule("vt12").coefficient(("vpi13", "vpi23p")) == S("1")
+        assert ctx.d_rule("vt12").coefficient(("vpi23", "vpi13p")) == S("1")
 
     def test_theta_rows(self):
         ctx = self.ctx

@@ -26,7 +26,8 @@ from eds235.jet import (
     symbol_relations,
     tableau_forms_on_V1,
 )
-from eds235.liemodel import mat_eq, mat_identity, mat_mul
+from eds235.geometry import Inconsistent
+from eds235.liemodel import mat_identity, mat_mul
 from eds235.scalar import Scalar
 
 S = Scalar.parse
@@ -134,8 +135,8 @@ class TestNormalize:
         p = normal_form_point("5/3", "-2", "7/4")
         nz = normalize(p)
         assert nz.point == p
-        assert mat_eq(nz.g, mat_identity(7))
-        assert mat_eq(nz.h, mat_identity(6))
+        assert nz.g == mat_identity(7)
+        assert nz.h == mat_identity(6)
 
     def test_normalization_along_the_orbit(self):
         rng = random.Random(23)
@@ -298,7 +299,25 @@ class TestSymbolRelations:
 
 # --- the integrability chain -------------------------------------------------
 
+# The bindings that cut V2, V3 and V4, as they used to be stated by hand.
+TRANSCRIBED_STAGE_BINDINGS = {
+    "V2": {"H23_2": "0"},
+    "V3": {"H13_2": "0"},
+    "V4": {"H23p_2": "0"},
+}
+
+
 class TestIntegrabilityChain:
+    def test_loci_bind_the_transcribed_bindings(self):
+        steps = higher_integrability()
+        assert {s.stage: s.binding for s in steps} == {
+            stage: {k: S(v) for k, v in b.items()}
+            for stage, b in TRANSCRIBED_STAGE_BINDINGS.items()}
+        for stage, bindings in TRANSCRIBED_STAGE_BINDINGS.items():
+            bound = stage_context(stage).bound
+            assert all(bound[k] == S(v) for k, v in bindings.items()), stage
+        assert all(a is b for a, b in zip(steps, higher_integrability()))
+
     def test_forced_bindings(self):
         steps = higher_integrability()
         assert [s.stage for s in steps] == ["V2", "V3", "V4"]
@@ -378,6 +397,12 @@ class TestTorsion:
         for name in ["pi13_2p", "pi23_1p"]:
             shift = forms[name] - v4.pi_solutions[name]
             assert (shift - v4.ctx.gen("om1p").scale(S("2"))).is_zero()
+
+    def test_torsion_left_names_its_row(self, monkeypatch):
+        monkeypatch.setattr(jet, "TORSION_ABSORPTION",
+                            {**jet.TORSION_ABSORPTION, "pi13_2p": [("1", "om1p")]})
+        with pytest.raises(Inconsistent, match="torsion left in row 13:"):
+            absorbed_tableau_forms()
 
 
 # --- pinned results on seeded points ------------------------------------------

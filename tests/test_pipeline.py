@@ -7,7 +7,6 @@ import pytest
 from eds235 import pipeline
 from eds235.geometry import CurvatureSpec, Inconsistent, reduce_relations
 from eds235.pipeline import (
-    FINAL_CONDITIONS,
     RowMismatch,
     build_I2,
     extract_obstructions,
@@ -15,6 +14,9 @@ from eds235.pipeline import (
     reduction_consequences,
 )
 from eds235.scalar import Scalar
+
+# The two final conditions as the verdict used to state them by hand.
+TRANSCRIBED_FINAL_CONDITIONS = {"A4_1p": "-5*B4", "A5_0_1p": "-21*A5_1"}
 
 
 def test_obstruction_partition():
@@ -61,7 +63,7 @@ def test_final_condition_rows():
         ("et3p_3_t", "th1^om1p"), ("et_22_t", "th1^om1p")]
     first = Scalar.parse(rows[0]["coefficient"])
     assert not first.is_zero()
-    value = Scalar.parse(FINAL_CONDITIONS["A4_1p"])
+    value = Scalar.parse(TRANSCRIBED_FINAL_CONDITIONS["A4_1p"])
     assert first.substitute({"A4_1p": value}).is_zero()
     assert Scalar.parse(rows[1]["coefficient"]).symbols() == {"A5_0_1p", "A5_1"}
 
@@ -69,12 +71,18 @@ def test_final_condition_rows():
 def test_final_conditions_zero_their_rows():
     rows = extract_obstructions().final_conditions["conditions"]
     generic = {(g, m): c for g, m, c in generic_frobenius_residuals()}
-    for sym, value in FINAL_CONDITIONS.items():
+    for sym, value in TRANSCRIBED_FINAL_CONDITIONS.items():
         condition = {sym: Scalar.parse(value)}
         [row] = [e for e in rows if sym in Scalar.parse(e["coefficient"]).symbols()]
         assert Scalar.parse(row["coefficient"]).substitute(condition).is_zero(), sym
         coeff = generic[(row["generator"], "th1^om1p")]
         assert Scalar.parse(coeff).substitute(condition).is_zero(), sym
+
+
+def test_derived_final_conditions_equal_the_transcribed_ones():
+    assert pipeline.final_conditions() == {
+        s: Scalar.parse(v) for s, v in TRANSCRIBED_FINAL_CONDITIONS.items()}
+    assert list(pipeline.final_conditions()) == list(TRANSCRIBED_FINAL_CONDITIONS)
 
 
 # The bindings each cascade row used to state by hand, with the direction
@@ -119,7 +127,75 @@ def test_derived_cascade_satisfies_the_transcribed_bindings():
             gap = (Scalar.symbol(sym) - value).substitute(values)
             assert gap.is_zero(), (name, sym, str(gap))
     assert values == old == pipeline.final_p_values()
-    assert list(pipeline.final_p_values()) == pipeline.P_SYMBOLS
+    coords, _ = pipeline.prolongation()
+    assert list(pipeline.final_p_values()) == list(coords)
+
+
+# The prolongation coordinates and forms as they used to be stated by hand.
+# Tail entries are (coefficient, prolongation coordinate or None,
+# generator) and stand for their sum; they include the constant torsion
+# absorption of Th13_2p.
+TRANSCRIBED_P_SYMBOLS = [
+    "p11_11", "p11_12", "p11_22", "p12_11", "p12_12", "p22_11",
+    "p13_11", "p13_12", "p13_10", "p13_12p",
+    "p13p_11", "p13p_12", "p13p_22", "p13p_10", "p13p_20", "p13p_00",
+    "p23_11", "p23p_11",
+]
+
+TRANSCRIBED_THETA_TAILS = {
+    ("11", "1"): [("1", "p11_11", "th1"), ("1", "p11_12", "th2")],
+    ("11", "2"): [("1", "p11_12", "th1"), ("1", "p11_22", "th2")],
+    ("12", "1"): [("1", "p12_11", "th1"), ("1", "p12_12", "th2")],
+    ("12", "2"): [("1", "p12_12", "th1")],
+    ("22", "1"): [("1", "p22_11", "th1")],
+    ("13", "1"): [
+        ("1", "p13_11", "th1"), ("1", "p13_12", "th2"),
+        ("1", "p13_10", "om0"), ("1", "p13_12p", "om2p"),
+    ],
+    ("13p", "1"): [
+        ("1", "p13p_11", "th1"), ("1", "p13p_12", "th2"),
+        ("1", "p13p_10", "om0"), ("3/2", "p11_11", "om1p"),
+        ("3/2", "p11_12", "om2p"), ("-1", "p13_10", "om2p"),
+    ],
+    ("23", "1"): [
+        ("1", "p23_11", "th1"), ("3/2", "p22_11", "om0"),
+        ("1", "p13_12p", "om1p"),
+    ],
+    ("23p", "1"): [
+        ("1", "p23p_11", "th1"), ("2", "p13_12", "om0"),
+        ("-4", "p23_11", "om0"), ("3", "p12_11", "om1p"),
+        ("-1", "p13_10", "om1p"), ("3", "p12_12", "om2p"),
+        ("-3/2", "p22_11", "om2p"),
+    ],
+    ("13", "2"): [("1", "p13_12", "th1"), ("3", "p12_12", "om0")],
+    ("13p", "2"): [
+        ("1", "p13p_12", "th1"), ("1", "p13p_22", "th2"),
+        ("1", "p13p_20", "om0"), ("3/2", "p11_12", "om1p"),
+        ("3/2", "p11_22", "om2p"), ("-3", "p12_12", "om2p"),
+    ],
+    ("13", "0"): [
+        ("1", "p13_10", "th1"), ("3", "p12_12", "th2"),
+        ("4", "p13_12p", "om0"),
+    ],
+    ("13", "2p"): [("2", None, "om1p"), ("1", "p13_12p", "th1")],
+    ("13p", "0"): [
+        ("1", "p13p_10", "th1"), ("1", "p13p_20", "th2"),
+        ("1", "p13p_00", "om0"), ("-4", "p13_12p", "om2p"),
+    ],
+}
+
+
+def test_derived_prolongation_equals_the_transcribed_tables():
+    coords, forms = pipeline.prolongation()
+    assert set(coords) == set(TRANSCRIBED_P_SYMBOLS)
+    assert len(coords) == len(TRANSCRIBED_P_SYMBOLS)
+    assert set(forms) == set(TRANSCRIBED_THETA_TAILS)
+    solved = pipeline.stage_context("V4").pi_solutions
+    for (w, s), f in forms.items():
+        tail = f - solved[f"pi{w}_{s}"]
+        got = {f.ctx.generators[i].name: c for (i,), c in tail.terms.items()}
+        want = _transcribed_correction(TRANSCRIBED_THETA_TAILS[(w, s)])
+        assert got == want, (w, s)
 
 
 # The tables the prolongation used to state by hand, kept to check the
@@ -285,23 +361,26 @@ def test_reduction_rows_are_the_corrections_at_the_final_values():
 
 def test_import_derives_nothing():
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
-    code = ("import eds235.pipeline as p, eds235.examples\n"
+    code = ("import eds235.pipeline as p, eds235.examples, eds235.jet as j\n"
             "print([f.cache_info().currsize for f in (p.table_reductions, "
             "p.tilde_corrections, p.second_stage_tails, p.reduction_rows, "
-            "p.theorem_rows, p._generic_final_stage)])")
+            "p.theorem_rows, p._generic_final_stage, p.prolongation, "
+            "p.final_conditions, p._generic_final_residuals, "
+            "j._integrability_step, j.stage_context)])")
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True)
-    assert out.stdout.strip() == "[0, 0, 0, 0, 0, 0]"
+    assert out.stdout.strip() == "[0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]"
 
 
 @pytest.fixture
 def fresh_cascade():
     """Rerun the derivations inside the test and again after it."""
-    caches = (pipeline._initial_stage, pipeline.tilde_corrections,
-              pipeline.table_reductions, pipeline._generic_final_stage,
-              pipeline.second_stage_tails)
+    caches = (pipeline.prolongation, pipeline._initial_stage,
+              pipeline.tilde_corrections, pipeline.table_reductions,
+              pipeline._generic_final_stage, pipeline.second_stage_tails,
+              pipeline._generic_final_residuals, pipeline.final_conditions)
     for cached in caches:
         cached.cache_clear()
     yield
@@ -364,9 +443,11 @@ def test_wrong_binding_names_its_row(monkeypatch, fresh_cascade):
 
 def test_singular_span_is_inconsistent(monkeypatch, fresh_cascade):
     """Th22_1 without its et2_1 term has no pivot left."""
-    theta = dict(pipeline.THETA_TAILS)
-    theta[("22", "1")] = theta[("22", "1")] + [("-2/3", None, "et2_1")]
-    monkeypatch.setattr(pipeline, "THETA_TAILS", theta)
+    coords, forms = pipeline.prolongation()
+    f = forms[("22", "1")]
+    corrupted = {**forms,
+                 ("22", "1"): f + f.ctx.gen("et2_1").scale(Scalar.parse("-2/3"))}
+    monkeypatch.setattr(pipeline, "prolongation", lambda: (coords, corrupted))
     with pytest.raises(Inconsistent, match="rank 20 of 21"):
         pipeline.tilde_corrections()
 
