@@ -6,8 +6,8 @@ that may appear in coefficients.  Forms are sparse maps from strictly
 increasing generator index tuples to scalars.  Everything is exact.
 
 Sums are accumulated in place: ``d``, ``d_scalar``, ``form``,
-``substitute_generator``, ``+``, ``-`` and the loops of ``reduce_mod`` add
-each contribution straight into one term dict with ``_add_into`` or
+``substitute_generator``, ``+``, ``-`` and the row updates of ``reduce_mod``
+add each contribution straight into one term dict with ``_add_into`` or
 ``_sub_into``, which delete a key whose sum cancels, and wrap the result
 with ``Form._wrap`` instead of building a throwaway Form per step.
 
@@ -18,6 +18,9 @@ same sequence, each to the running sum as ``sum + contribution``, and a
 cancelled key is deleted at once, so it re-enters at the end, as it did
 when every partial sum was a filtered Form.  ``wedge`` is different: it
 accumulates every product first and drops the zeros once at the end.
+
+``reduce_mod`` is the one reduction modulo a Pfaffian ideal: every caller,
+the jet's contact quotient included, takes its normal form.
 """
 
 from __future__ import annotations
@@ -393,92 +396,48 @@ class CoframedContext:
         return Form._wrap(self, out)
 
 
-@dataclass
-class ReduceResult:
-    normal_form: Form
-    multipliers: list  # list of (input generator 1-form, multiplier Form)
-    pivots: list       # list of (generator index, reduced 1-form)
-
-
-def reduce_mod(f: Form, ideal_gens: Sequence[Form]) -> ReduceResult:
+def reduce_mod(f: Form, ideal_gens: Sequence[Form]) -> Form:
     """Normal form of f modulo the algebraic ideal of the given 1-forms.
 
-    The 1-forms are completed to a coframe by pivoting each on its highest
-    present generator (deterministic; raises DependentGenerators if they are
-    not independent).  The normal form contains no pivot generator, and
-    f = normal_form + sum(g_i ∧ m_i) with the returned multipliers.
+    The 1-forms are row-reduced (Gauss–Jordan), each pivoting on its
+    highest present generator not already a pivot (deterministic; raises
+    DependentGenerators if they are not independent).  Each pivot generator
+    is then substituted by itself minus its reduced 1-form, in pivot order,
+    so the normal form contains no pivot generator and differs from f by an
+    element of the ideal.
     """
-    if not ideal_gens:
-        return ReduceResult(f, [], [])
     ctx = f.ctx
-    gens = [g for g in ideal_gens]
-    for g in gens:
+    for g in ideal_gens:
         if g.ctx is not ctx:
             raise ContextMismatch("ideal generator over a different context")
-        if g.degree() not in (1,):
+        if g.degree() != 1:
             raise ValueError("reduce_mod expects 1-form ideal generators")
 
-    n = len(gens)
-    # row-reduce, pivoting on the highest-index generator present
-    work = list(gens)
-    trans = [[Scalar.one() if i == j else Scalar.zero() for j in range(n)] for i in range(n)]
-    pivots: list[tuple[int, int]] = []  # (row, generator index)
-    used: set = set()
-    for i in range(n):
-        g = work[i]
-        cand = [j for j in g.generators_present() if j not in used]
+    work = list(ideal_gens)
+    pivots: list[int] = []  # generator index of row i
+    for i, g in enumerate(work):
+        cand = [j for j in g.generators_present() if j not in pivots]
         if not cand:
             raise DependentGenerators(f"generator {i} reduces to zero")
         p = max(cand)
-        c = g.terms[(p,)]
-        inv = c.inverse()
-        work[i] = g.scale(inv)
-        trans[i] = [x * inv for x in trans[i]]
-        for j in range(n):
-            if j != i:
-                cj = work[j].terms.get((p,))
-                if cj is not None:
-                    t = dict(work[j].terms)
-                    for idx, c in work[i].terms.items():
-                        _sub_into(t, idx, c * cj)
-                    work[j] = Form._wrap(ctx, t)
-                    trans[j] = [trans[j][k] - cj * trans[i][k] for k in range(n)]
-        pivots.append((i, p))
-        used.add(p)
+        g = work[i] = g.scale(g.terms[(p,)].inverse())
+        for j, h in enumerate(work):
+            cj = h.terms.get((p,))
+            if j != i and cj is not None:
+                t = dict(h.terms)
+                for idx, c in g.terms.items():
+                    _sub_into(t, idx, c * cj)
+                work[j] = Form._wrap(ctx, t)
+        pivots.append(p)
 
-    # replacement: pivot generator ≡ pivot − reduced gen  (mod ideal)
+    # pivot generator ≡ pivot − reduced row  (mod ideal)
     out = f
-    for (i, p) in pivots:
-        repl = ctx.gen(ctx.generators[p].name) - work[i]
-        out = ctx.substitute_generator(out, ctx.generators[p].name, repl)
-
-    # recover multipliers of the REDUCED generators, then translate back
-    delta = f - out
-    mults_reduced = [ctx.zero() for _ in range(n)]
-    for (i, p) in pivots:
-        t: dict = {}
-        for idx, c in delta.terms.items():
-            if p not in idx:
-                continue
-            pos = idx.index(p)
-            _add_into(t, idx[:pos] + idx[pos + 1 :], c if pos % 2 == 0 else -c)
-        coef = mults_reduced[i] = Form._wrap(ctx, t)
-        delta = delta - work[i].wedge(coef)
-    if not delta.is_zero():
-        raise AssertionError("multiplier recovery failed")
-
-    # reduced_i = Σ_j trans[i][j] · gens_j  ⇒  Σ_i reduced_i∧μ_i = Σ_j gens_j∧(Σ_i trans[i][j]·μ_i)
-    multipliers = []
-    for j in range(n):
-        t = {}
-        for i in range(n):
-            tij = trans[i][j]
-            if not tij.is_zero():
-                for idx, c in mults_reduced[i].terms.items():
-                    _add_into(t, idx, c * tij)
-        multipliers.append((gens[j], Form._wrap(ctx, t)))
-
-    return ReduceResult(out, multipliers, [(p, work[i]) for (i, p) in pivots])
+    for g, p in zip(work, pivots):
+        name = ctx.generators[p].name
+        out = ctx.substitute_generator(out, name, ctx.gen(name) - g)
+    if not out.generators_present().isdisjoint(pivots):
+        raise AssertionError("normal form keeps a pivot generator")
+    return out
 
 
 def eliminate(
@@ -501,15 +460,9 @@ def eliminate(
     new = CoframedContext(keep, label or f"{ctx.label}/reduced")
 
     def transfer(f: Form) -> Form:
-        g = f
         for name, r in replacements.items():
-            g = ctx.substitute_generator(g, name, r)
-        terms = {}
-        for idx, c in g.terms.items():
-            nidx = tuple(new.index_of(ctx.generators[i].name) for i in idx)
-            # index order is preserved (subsequence of an ordered list)
-            terms[nidx] = terms.get(nidx, Scalar.zero()) + c
-        return Form(new, terms)
+            f = ctx.substitute_generator(f, name, r)
+        return reindex(f, new)
 
     for name in keep:
         rule = ctx.rules.d_of_generator.get(name)

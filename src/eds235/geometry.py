@@ -484,26 +484,9 @@ def reconstruct_level2() -> DerivativeTable:
     return _extend_table(t1, free_derivative_symbols(t1), CURVATURE_SYMBOLS)
 
 
-def reconstruct_derivatives(
-    partial: DerivativeTable | None = None,
-    depth: int = 1,
-) -> DerivativeTable:
-    """Complete derivative table; optional known rows are cross-checked."""
-    table = reconstruct_level1() if depth == 1 else reconstruct_level2()
-    if partial is not None:
-        for sym, row in partial.rules.items():
-            got = table.rules.get(sym)
-            if got is None:
-                raise Inconsistent(f"no reconstructed rule for {sym}")
-            keys = set(row) | set(got)
-            for k in keys:
-                a = row.get(k, Scalar.zero())
-                b = got.get(k, Scalar.zero())
-                if a != b:
-                    raise Inconsistent(
-                        f"rule mismatch for {sym} at {k}: given {a}, derived {b}"
-                    )
-    return table
+def reconstruct_derivatives(depth: int = 1) -> DerivativeTable:
+    """The level-1 table (depth 1) or the level-2 table (depth 2)."""
+    return reconstruct_level1() if depth == 1 else reconstruct_level2()
 
 
 # --------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Mapping, Sequence
 
-from .exterior import CoframedContext, Form, eliminate, reindex
+from .exterior import CoframedContext, Form, eliminate, reduce_mod, reindex
 from .geometry import (
     AB_KEYS,
     I_KEYS,
@@ -565,26 +565,14 @@ def tableau_forms_on_V1() -> dict:
 
 def contact_quotient(jet: JetContext, form: Form, kill: Sequence[str] = ()
                      ) -> Form:
-    """Reduce modulo the contact generators and the listed 1-forms.
+    """Normal form modulo the contact forms and the listed generators.
 
-    Substitutes every target coframe generator by the horizontal part of its
-    contact form and then kills the listed source generators.
+    Each contact form pivots on its ``vt``/``vpi`` target generator, which
+    is therefore replaced by the horizontal part of the form, and each
+    killed generator pivots on itself.
     """
-    ctx = jet.ctx
-    f = form
-    for k in AB_KEYS:
-        repl = ctx.zero()
-        for s in THETA_SLOTS:
-            repl = repl + ctx.gen(SB_OF_SLOT[s]).scale(jet.h_value(k, s))
-        f = ctx.substitute_generator(f, "vt" + k, repl)
-    for k in I_KEYS:
-        repl = ctx.zero()
-        for s in SLOTS:
-            repl = repl + ctx.gen(SB_OF_SLOT[s]).scale(jet.h_value(k, s))
-        f = ctx.substitute_generator(f, "vpi" + k, repl)
-    for name in kill:
-        f = ctx.substitute_generator(f, name, ctx.zero())
-    return f
+    return reduce_mod(form, [*jet.contact_forms().values(),
+                             *(jet.ctx.gen(k) for k in kill)])
 
 
 def _span_columns(deg: int, two_forms: Sequence[Form], support) -> list:
@@ -751,11 +739,11 @@ def _integrability_step(stage: str) -> IntegrabilityStep:
             + d_contact(prev, "23").wedge(th2).wedge(om0).scale(Scalar.rational(4))
             + d_contact(prev, "23p").wedge(th1).wedge(th2)
         )
+    reduced = contact_quotient(prev, comb, kill=kill)
     coeff = _two_form_residual_coefficient(
-        prev, comb, kill=kill, two_forms=[shift, d_contact(prev, "22")],
+        prev, reduced, kill=kill, two_forms=[shift, d_contact(prev, "22")],
         monomial=monomial)
-    return IntegrabilityStep(stage, contact_quotient(prev, comb, kill=kill),
-                             coeff, _forced_binding(coeff))
+    return IntegrabilityStep(stage, reduced, coeff, _forced_binding(coeff))
 
 
 def _forced_binding(coeff: Scalar) -> dict:
@@ -770,10 +758,12 @@ def _forced_binding(coeff: Scalar) -> dict:
     return {name: Scalar.zero()}
 
 
-def _two_form_residual_coefficient(jet, comb, kill, two_forms, monomial):
-    """Coefficient x with comb ≡ x·(monomial) modulo the stated ideal."""
+def _two_form_residual_coefficient(jet, reduced, kill, two_forms, monomial):
+    """Coefficient x with reduced ≡ x·(monomial) modulo the stated ideal.
+
+    ``reduced`` is already the contact quotient with the same ``kill``.
+    """
     ctx = jet.ctx
-    reduced = contact_quotient(jet, comb, kill=kill)
     mono = ctx.form({tuple(monomial): Scalar.one()})
     qforms = [contact_quotient(jet, g, kill=kill) for g in two_forms]
     columns = [mono] + _span_columns(

@@ -15,7 +15,7 @@ from functools import lru_cache
 from typing import Mapping
 
 from .exterior import CoframedContext, Form
-from .scalar import Scalar, solve_linear_many
+from .scalar import Scalar, rank_of, solve_linear_many
 
 Matrix = list  # list[list[Scalar]]
 
@@ -288,8 +288,6 @@ def growth_vector(gn: GradedNilpotent) -> tuple:
     basis_vecs = {n: to_vec({n: Scalar.one()}) for n in names}
     current = [basis_vecs[n] for n in d1]
     dims = []
-    from .scalar import rank_of
-
     while True:
         dims.append(rank_of(current))
         new = list(current)
@@ -392,8 +390,6 @@ def check_filtered_morphism(fmap: FilteredMap) -> dict:
         for k, v in images[n].items():
             row[tgt_idx[k]] = v
         rows.append(row)
-    from .scalar import rank_of
-
     injective = rank_of(rows) == len(names)
 
     return {

@@ -368,8 +368,7 @@ def _residual(stage: PStage, lhs: Form, kills: Sequence[str],
               ideal: Sequence[Form]) -> Form:
     """lhs modulo the killed generators and the ideal, in table normal form."""
     mods = [stage.ctx.gen(k) for k in kills] + list(ideal)
-    res = reduce_mod(lhs, mods).normal_form
-    return res.substitute_scalars(_table_eliminations())
+    return reduce_mod(lhs, mods).substitute_scalars(_table_eliminations())
 
 
 def _forced_bindings(stage: PStage, name: str, residual: Form) -> dict:
@@ -748,7 +747,7 @@ def frobenius_check(gens: IdealGenerators) -> dict:
     forms = gens.all()
     residuals = []
     for name, f in gens.forms.items():
-        r = reduce_mod(f.d(), forms).normal_form
+        r = reduce_mod(f.d(), forms)
         if not r.is_zero():
             residuals.extend(_residual_entries(name, r))
     return {"frobenius": not residuals, "residuals": residuals}
@@ -805,8 +804,7 @@ def stage1_obstructions(spec: CurvatureSpec | None = None) -> list:
     ideal = list(contact_system(stage.ctx).values()) + list(T.values())
     comb = _combination(stage.ctx, T, [("1", "ga12_t", "om0"),
                                        ("1", "ga02_t", "th1")])
-    res = reduce_mod(comb, ideal).normal_form
-    return _residual_entries("ga12_t^om0+ga02_t^th1", res)
+    return _residual_entries("ga12_t^om0+ga02_t^th1", reduce_mod(comb, ideal))
 
 
 def partition_final_residuals(entries: list) -> dict:
@@ -845,7 +843,7 @@ def final_condition_residuals(spec: CurvatureSpec | None = None) -> list:
     out = []
     for name, factor in (("et3p_3_t", 1), ("et_22_t", 7)):
         f = gens.forms[name].scale(Scalar.rational(factor))
-        r = reduce_mod(f.d(), forms).normal_form
+        r = reduce_mod(f.d(), forms)
         out.extend(_residual_entries(name, r))
     return out
 

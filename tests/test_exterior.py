@@ -134,20 +134,20 @@ def test_substitute_generator():
 
 def test_reduce_mod_normal_form_and_multipliers():
     ctx = heisenberg()
+    x = Scalar.symbol("x")
     # ideal generated by (c + x·a) and (b − a)
-    g1 = ctx.form({("c",): 1, ("a",): Scalar.symbol("x")})
+    g1 = ctx.form({("c",): 1, ("a",): x})
     g2 = ctx.form({("b",): 1, ("a",): -1})
     f = ctx.form({("a", "b"): 1, ("b", "c"): 1, ("a",): 5})
-    r = reduce_mod(f, [g1, g2])
+    nf = reduce_mod(f, [g1, g2])
     # pivots are c (for g1) and b (for g2): nothing with b or c survives
-    assert r.normal_form.generators_present() <= {ctx.index_of("a")}
-    recomposed = r.normal_form
-    for g, m in r.multipliers:
-        recomposed = recomposed + g.wedge(m)
-    assert recomposed == f
+    assert nf == ctx.form({("a",): 5})
+    # f − nf lies in the ideal, with these multipliers
+    a = ctx.gen("a")
+    witness = g1.wedge(-a) + g2.wedge(g1 - a.scale(Scalar.one() + x))
+    assert f - nf == witness
     # idempotence
-    again = reduce_mod(r.normal_form, [g1, g2])
-    assert again.normal_form == r.normal_form
+    assert reduce_mod(nf, [g1, g2]) == nf
 
 
 def test_reduce_mod_dependent_generators():
@@ -162,8 +162,7 @@ def test_reduce_mod_on_higher_degree():
     ctx = heisenberg()
     g = ctx.form({("c",): 1, ("a",): -2})  # c ≡ 2a mod ideal
     f = ctx.form({("a", "b", "c"): 7, ("b", "c"): 1})
-    r = reduce_mod(f, [g])
-    assert r.normal_form == ctx.form({("a", "b"): -2})
+    assert reduce_mod(f, [g]) == ctx.form({("a", "b"): -2})
 
 
 def test_eliminate_and_extend():

@@ -232,13 +232,6 @@ class TestReconstruction:
                     "A5_0_1", "A5_0_1p"]:
             assert table.reduce_scalar(S(sym)) == S(sym)
 
-    def test_partial_crosscheck(self):
-        good = DerivativeTable({"A1": reconstruct_derivatives().rules["A1"]})
-        reconstruct_derivatives(partial=good)
-        bad = DerivativeTable({"A1": {"ga12": S("5*A2")}})
-        with pytest.raises(Inconsistent):
-            reconstruct_derivatives(partial=bad)
-
     def test_second_level_closure_sample(self):
         table = reconstruct_derivatives(depth=2)
         # d of an eliminated symbol must be consistent with its rewriting:

@@ -382,6 +382,40 @@ class TestCongruenceDisplays:
         assert in_span_of_two_forms(diff, span)
 
 
+def _substituted_contact_quotient(j, form, kill=()):
+    """The contact quotient by direct substitution: each ``vt``/``vpi``
+    target by the horizontal part of its contact form, then each killed
+    generator by zero."""
+    ctx = j.ctx
+    f = form
+    for k in jet.AB_KEYS:
+        repl = ctx.zero()
+        for s in jet.THETA_SLOTS:
+            repl = repl + ctx.gen(jet.SB_OF_SLOT[s]).scale(j.h_value(k, s))
+        f = ctx.substitute_generator(f, "vt" + k, repl)
+    for k in jet.I_KEYS:
+        repl = ctx.zero()
+        for s in jet.SLOTS:
+            repl = repl + ctx.gen(jet.SB_OF_SLOT[s]).scale(j.h_value(k, s))
+        f = ctx.substitute_generator(f, "vpi" + k, repl)
+    for name in kill:
+        f = ctx.substitute_generator(f, name, ctx.zero())
+    return f
+
+
+@pytest.mark.parametrize("stage", jet.STAGE_ORDER)
+def test_contact_quotient_matches_direct_substitution(stage):
+    """The normal form modulo the contact ideal is the substitution, with
+    the same terms in the same order, for the kills the engine uses."""
+    j = stage_context(stage)
+    for k in j.contact_forms():
+        form = d_contact(j, k[2:])
+        for kill in ([], ["th1", "om0"], ["om0"], ["om1p"]):
+            got = contact_quotient(j, form, kill=kill)
+            want = _substituted_contact_quotient(j, form, kill)
+            assert list(got.terms.items()) == list(want.terms.items()), (k, kill)
+
+
 class TestTorsion:
     def test_final_locus_raw_torsion(self):
         v4 = stage_context("V4")
