@@ -497,9 +497,27 @@ _CURVATURE_SYMBOL = re.compile("(?:{})(?:_(?:{}))*".format(
     "|".join(map(re.escape, CURVATURE_SYMBOLS)), "|".join(map(re.escape, SLOTS))))
 
 
+@lru_cache(maxsize=4096)
 def _is_curvature_symbol(name: str) -> bool:
-    """A base of CURVATURE_SYMBOLS followed by derivative slots of SLOTS."""
+    """A base of CURVATURE_SYMBOLS followed by derivative slots of SLOTS.
+
+    Cached per process: the specs of one process name symbols from the
+    same vocabulary, so each name is matched once.
+    """
     return _CURVATURE_SYMBOL.fullmatch(name) is not None
+
+
+@lru_cache(maxsize=256)
+def _parse_value(text: str) -> Scalar:
+    """``Scalar.parse`` of a binding value text, cached per process.
+
+    Specs may share the cached Scalar, because no Scalar is mutated in
+    place.  A text that does not parse raises on every call: lru_cache
+    does not cache exceptions.  Under the bound a text that recurs across
+    specs stays, since each use moves it to the front, and a text read
+    once (about 0.5 kB for a d6 value plus a constant) is evicted in time.
+    """
+    return Scalar.parse(text)
 
 
 @dataclass
@@ -513,11 +531,14 @@ class CurvatureSpec:
         scalar text or number) and ``relations`` (a list of scalar texts),
         and no other key.
 
-        Each distinct binding value text is parsed once per call, and the
-        bindings that share it share one Scalar.  A malformed spec, an
-        unknown key, an unknown symbol, a JSON boolean or a value that does
-        not parse raises InconsistentSpec naming the first key, binding or
-        relation that carries it.
+        Symbol names and binding value texts are cached per process
+        (``_is_curvature_symbol``, ``_parse_value``), so a name or value
+        text is checked or parsed once however many specs carry it, and the
+        bindings that share a value text share one Scalar.  Both caches are
+        bounded, and neither caches an error.  A malformed spec, an unknown
+        key, an unknown symbol, a JSON boolean or a value that does not
+        parse raises InconsistentSpec naming the first key, binding or
+        relation that carries it, on every read.
         """
         payload = json.loads(text)
         if not isinstance(payload, dict):
@@ -534,7 +555,6 @@ class CurvatureSpec:
         ):
             raise InconsistentSpec("spec relations must be a list of strings")
         bindings = {}
-        parsed: dict = {}  # value text -> Scalar; Scalars are never mutated
         for name, value in raw_bindings.items():
             if not _is_curvature_symbol(name):
                 raise InconsistentSpec(f"unknown curvature symbol {name!r} in bindings")
@@ -543,9 +563,7 @@ class CurvatureSpec:
                     f"bad value for binding {name!r}: {json.dumps(value)} is not a number")
             try:
                 if isinstance(value, str):
-                    if value not in parsed:
-                        parsed[value] = Scalar.parse(value)
-                    bindings[name] = parsed[value]
+                    bindings[name] = _parse_value(value)
                 else:
                     bindings[name] = Scalar.of(value)
             except (ValueError, TypeError, ZeroDivisionError) as exc:

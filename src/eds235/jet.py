@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Mapping, Sequence
 
@@ -405,6 +405,13 @@ class JetContext:
         return self.bound.get(name, Scalar.symbol(name))
 
     def contact_forms(self) -> dict:
+        """The contact forms Th<key>, built once per context: a JetContext
+        does not change once ``build_jet_context`` or ``bind_H`` returns
+        it.  The dict is a copy; the Forms are shared and never mutated."""
+        return dict(self._contact_forms)
+
+    @cached_property
+    def _contact_forms(self) -> dict:
         out = {}
         ctx = self.ctx
         for k in AB_KEYS:

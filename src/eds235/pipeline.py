@@ -857,12 +857,13 @@ def _generic_final_residuals() -> tuple:
 def final_conditions() -> dict:
     """The two scalar conditions on curvature derivatives, {symbol: value}.
 
-    Read off the th1^om1p rows of the generic final residuals, each solved
-    for its pivot by ``reduce_relations``.  A row without a constant pivot
+    Read off the th1^om1p rows of et3p_3_t and et_22_t among the generic
+    Frobenius residuals, which the verdict builds anyway, each solved for
+    its pivot by ``reduce_relations``.  A row without a constant pivot
     raises Inconsistent.
     """
-    rows = [Scalar.parse(e["coefficient"]) for e in _generic_final_residuals()
-            if e["monomial"] == "th1^om1p"]
+    rows = [Scalar.parse(c) for g, m, c in generic_frobenius_residuals()
+            if g in ("et3p_3_t", "et_22_t") and m == "th1^om1p"]
     _, conditions, stuck = reduce_relations(rows)
     if stuck:
         raise Inconsistent(f"final conditions without a pivot: {stuck}")

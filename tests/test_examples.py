@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from eds235 import geometry
 from eds235.examples import d6_spec, run_examples, write_spec_files
 from eds235.geometry import CurvatureSpec, InconsistentSpec
 from eds235.pipeline import IDENTITIES, embeddability_verdict
@@ -63,6 +64,7 @@ def test_verdict_checks_the_spec_relations():
 @pytest.mark.parametrize("model, distinct", [("flat", 1), ("d6", 31)])
 def test_warm_verdict_parses_each_value_text_once(monkeypatch, model, distinct):
     embeddability_verdict(d6_spec())  # builds the verdict's checks
+    geometry._parse_value.cache_clear()
     parse, calls = Scalar.parse, []
 
     def counting(text):
@@ -72,6 +74,9 @@ def test_warm_verdict_parses_each_value_text_once(monkeypatch, model, distinct):
     monkeypatch.setattr(Scalar, "parse", staticmethod(counting))
     assert _verdict_of(_spec_text(model)).embeddable
     assert len(calls) == len(set(calls)) == distinct
+    # a second read of the same spec parses nothing
+    assert _verdict_of(_spec_text(model)).embeddable
+    assert len(calls) == distinct
 
 
 def test_verdicts_do_not_corrupt_shared_values():
@@ -81,6 +86,14 @@ def test_verdicts_do_not_corrupt_shared_values():
     shifted = json.loads(d6)
     shifted["bindings"]["A4_1p"] = f"({shifted['bindings']['A4_1p']}) + 1"
     assert not _verdict_of(json.dumps(shifted)).embeddable
+    # a shifted spec that shares every other value text with d6, and its
+    # Scalars through the value cache
+    shared = json.loads(d6)
+    shared["bindings"]["A3"] = f"({shared['bindings']['A3']}) + 2/3 - sqrt7"
+    shared_spec = CurvatureSpec.from_json(json.dumps(shared))
+    d6_spec_read = CurvatureSpec.from_json(d6)
+    assert shared_spec.bindings["A4_1p"] is d6_spec_read.bindings["A4_1p"]
+    assert not embeddability_verdict(shared_spec).embeddable
     assert json.dumps(_verdict_of(d6).to_payload()) == first
 
 

@@ -324,8 +324,28 @@ class TestCurvatureSpec:
         ("A1_1p2", False), ("Q9", False), ("a1", False),
     ])
     def test_curvature_symbol_names(self, name, known):
-        # the answers of the base-then-slots split of the name at "_"
+        # the answers of the base-then-slots split of the name at "_",
+        # matched on a cleared cache and then read from the warm one
+        geometry._is_curvature_symbol.cache_clear()
         assert geometry._is_curvature_symbol(name) is known
+        assert geometry._is_curvature_symbol(name) is known
+        assert geometry._is_curvature_symbol.cache_info().hits == 1
+
+    @pytest.mark.parametrize("bindings, message", [
+        ({"A3": 1, "C2": "2*("}, "bad value for binding 'C2': "),
+        ({"A3": 1, "A33": "1"}, "unknown curvature symbol 'A33' in bindings"),
+        ({"A3": 1, "C2": True}, "bad value for binding 'C2': true is not a number"),
+    ])
+    def test_errors_are_raised_on_every_read(self, bindings, message):
+        geometry._is_curvature_symbol.cache_clear()
+        geometry._parse_value.cache_clear()
+        text = json.dumps({"bindings": bindings})
+        messages = []
+        for _ in range(2):
+            with pytest.raises(InconsistentSpec, match=re.escape(message)) as info:
+                CurvatureSpec.from_json(text)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
 
     def test_pinned_spec_names_accepted(self):
         for name in ("flat", "d6"):

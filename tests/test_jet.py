@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -414,6 +415,32 @@ def test_contact_quotient_matches_direct_substitution(stage):
             got = contact_quotient(j, form, kill=kill)
             want = _substituted_contact_quotient(j, form, kill)
             assert list(got.terms.items()) == list(want.terms.items()), (k, kill)
+
+
+def test_contact_forms_are_built_once_per_context(monkeypatch):
+    """Each context builds its contact forms once, however many quotients
+    and torsion rows read them."""
+    bindings = [jet.V1_BINDINGS] + [jet._integrability_step(stage).binding
+                                    for stage in jet.STAGE_ORDER[1:]]
+    build, built = jet.JetContext._contact_forms.func, []
+
+    def counted(self):
+        built.append(self.label)
+        return build(self)
+
+    prop = functools.cached_property(counted)
+    prop.__set_name__(jet.JetContext, "_contact_forms")
+    monkeypatch.setattr(jet.JetContext, "_contact_forms", prop)
+    j = build_jet_context()
+    labels = []
+    for stage, binding in zip(jet.STAGE_ORDER, bindings):
+        j = jet.bind_H(j, binding, label=stage + "-fresh")
+        labels.append(j.label)
+        for k in j.contact_forms():
+            contact_quotient(j, d_contact(j, k[2:]), kill=["om0"])
+        assert j.contact_forms() is not j.contact_forms()
+    remaining_torsion(j)
+    assert built == labels
 
 
 class TestTorsion:

@@ -5,10 +5,12 @@ import sys
 import pytest
 
 from eds235 import pipeline
+from eds235.examples import d6_spec
 from eds235.geometry import CurvatureSpec, Inconsistent, reduce_relations
 from eds235.pipeline import (
     RowMismatch,
     build_I2,
+    embeddability_verdict,
     extract_obstructions,
     generic_frobenius_residuals,
     reduction_consequences,
@@ -362,16 +364,18 @@ def test_reduction_rows_are_the_corrections_at_the_final_values():
 def test_import_derives_nothing():
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
     code = ("import eds235.pipeline as p, eds235.examples, eds235.jet as j\n"
+            "import eds235.geometry as g\n"
             "print([f.cache_info().currsize for f in (p.table_reductions, "
             "p.tilde_corrections, p.second_stage_tails, p.reduction_rows, "
             "p.theorem_rows, p._generic_final_stage, p.prolongation, "
             "p.final_conditions, p._generic_final_residuals, "
-            "j._integrability_step, j.stage_context)])")
+            "j._integrability_step, j.stage_context, "
+            "g._is_curvature_symbol, g._parse_value)])")
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True)
-    assert out.stdout.strip() == "[0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]"
+    assert out.stdout.strip() == "[0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]"
 
 
 @pytest.fixture
@@ -380,7 +384,8 @@ def fresh_cascade():
     caches = (pipeline.prolongation, pipeline._initial_stage,
               pipeline.tilde_corrections, pipeline.table_reductions,
               pipeline._generic_final_stage, pipeline.second_stage_tails,
-              pipeline._generic_final_residuals, pipeline.final_conditions)
+              pipeline._generic_final_residuals, pipeline.final_conditions,
+              pipeline._verdict_checks)
     for cached in caches:
         cached.cache_clear()
     yield
@@ -402,6 +407,16 @@ def test_generic_final_stage_is_built_once(monkeypatch, fresh_cascade):
     assert build_I2(CurvatureSpec({})).context is gens.context
     assert gens.context is pipeline._generic_final_stage().ctx
     assert calls == ["Vp"]
+
+
+def test_cold_verdict_builds_the_final_ideal_once(fresh_cascade):
+    """The verdict reads the final conditions off the generic Frobenius
+    residuals; it does not build the final ideal under the restricted
+    class a second time."""
+    assert embeddability_verdict(d6_spec()).embeddable
+    assert pipeline._generic_final_residuals.cache_info().currsize == 0
+    assert [(k, str(v)) for k, v in pipeline.final_conditions().items()] == list(
+        TRANSCRIBED_FINAL_CONDITIONS.items())
 
 
 def _corrupt_tilde(monkeypatch, base, gen, extra):
